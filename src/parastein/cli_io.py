@@ -1,9 +1,14 @@
 """Deterministic JSON command-line front end.
 
 Every verb prints exactly one JSON document on standard output.  Exit
-codes: 0 success, 2 precondition/usage failure (with {"error": ...} on
-stdout), 3 resource-bound failure.  Human-readable notes go to stderr
-under --verbose.
+codes, each failure with {"error": ...} on stdout:
+
+- 0 success;
+- 2 bad input: a usage error or a failed precondition;
+- 3 a resource bound was exceeded, such as the enumeration bound, the
+  KL memo cap, or a constituent listing above rank 6 without --max-len;
+- 4 a selftest invariant failed; the document also carries "check", the
+  name of the failed check.
 """
 
 from __future__ import annotations
@@ -307,9 +312,18 @@ def selftest_cmd(level: str) -> None:
     _emit({"ok": True, "level": level, "checks": checks})
 
 
+class SelftestFailure(AssertionError):
+    """A selftest invariant did not hold; ``check`` names it."""
+
+    def __init__(self, check: str) -> None:
+        super().__init__(f"selftest failure: {check}")
+        self.check = check
+
+
 def run_selftest(level: str) -> int:
-    """Run the cross-module invariant suites; raises on any failure and
-    returns the number of checks performed."""
+    """Run the cross-module invariant suites; raises ``SelftestFailure``
+    on the first failed check and returns the number of checks
+    performed."""
     from fractions import Fraction
 
     n_max = 5 if level == "quick" else 7
@@ -320,7 +334,7 @@ def run_selftest(level: str) -> int:
         nonlocal checks
         checks += 1
         if not cond:
-            raise AssertionError(f"selftest failure: {msg}")
+            raise SelftestFailure(msg)
 
     # Bruhat partial order sanity and coset counts.
     for n in range(1, n_max + 1):
@@ -409,6 +423,9 @@ def main(argv: list[str] | None = None) -> int:
     except BoundExceededError as exc:
         _emit({"error": str(exc)})
         return 3
+    except SelftestFailure as exc:
+        _emit({"error": str(exc), "check": exc.check})
+        return 4
     except (ValueError, AssertionError) as exc:
         _emit({"error": str(exc)})
         return 2

@@ -200,14 +200,13 @@ def parabolic_verma_mult(K: BlockSet, w: MultiWeyl) -> int:
         if len(comp) != n:
             raise ValueError(f"component rank {len(comp)} != {n}")
     roots = K.inner_roots() | K.roots()
-    par = enumerate_parabolic(n, roots)
+    par = [(u, length(u) % 2) for u in enumerate_parabolic(n, roots)]
     out = 1
     for comp in w:
         acc = 0
-        for u in par:
-            if bruhat_leq(u, comp):
-                p = poly_eval_one(kl_poly(u, comp))
-                acc += p if length(u) % 2 == 0 else -p
+        for u, parity in par:
+            p = poly_eval_one(kl_poly(u, comp))
+            acc += -p if parity else p
         out *= acc
         if out == 0:
             return 0

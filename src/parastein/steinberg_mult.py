@@ -19,13 +19,13 @@ from dataclasses import dataclass, field
 from .cosets import BlockSet
 from .kl_mult import kl_poly, parabolic_verma_mult, poly_eval_one
 from .weyl_core import (
+    BoundExceededError,
     MultiWeyl,
-    bruhat_leq,
+    Perm,
+    enumerate_group,
     enumerate_parabolic,
     left_ascents,
     length,
-    mw_ascent_union,
-    mw_length,
     support,
 )
 
@@ -48,10 +48,14 @@ class GrothVector:
         return GrothVector(new)
 
     def __add__(self, other: "GrothVector") -> "GrothVector":
-        out = self
+        new = dict(self.coeffs)
         for label, c in other.coeffs.items():
-            out = out.add(label, c)
-        return out
+            v = new.get(label, 0) + c
+            if v:
+                new[label] = v
+            else:
+                new.pop(label, None)
+        return GrothVector(new)
 
     def scale(self, c: int) -> "GrothVector":
         if c == 0:
@@ -98,6 +102,17 @@ def steinberg_multiplicity(w: MultiWeyl, J: BlockSet, S: BlockSet) -> int:
     inclusion-exclusion oracle (an exact algebraic expansion), which the
     exact-equality reading fails for nonempty S.
 
+    The sum runs over w' = (u_1, ..., u_{d_L}) with one u_i per
+    embedding, and m(w', w) is the product of the P_{u_i, w_i}(1).  It is
+    not multiplied out.  The outer support of w' is the union of the
+    outer supports of the u_i, and the parity of l(w') is the xor of
+    their parities.  The filter reads only that union, and the sign only
+    the union and the parity.  So each component is summed into a table
+    keyed by (outer support, parity), and the d_L tables are folded with
+    union and xor, multiplying the values.  The folded table gives the
+    same integer as the d_L-fold product sum, at a cost linear in d_L
+    with at most 2^(|J|+1) keys per table.
+
     >>> from .cosets import BlockSet
     >>> empty = BlockSet(2, 2)
     >>> steinberg_multiplicity(((1, 2, 3, 4),), empty, empty)
@@ -109,38 +124,50 @@ def steinberg_multiplicity(w: MultiWeyl, J: BlockSet, S: BlockSet) -> int:
     >>> steinberg_multiplicity(((3, 4, 1, 2),), empty, empty)
     1
     """
+    return _folded_multiplicity(w, J, S, {})
+
+
+def _component_table(comp: Perm, J: BlockSet, memo: dict) -> dict:
+    """{(outer support, length parity): summed P_{u,comp}(1)} over u in
+    the parabolic on the inner roots plus J.  ``memo`` keeps the rows of
+    each parabolic under the key J and each table under (comp, J), so
+    callers that pass one dict share them across labels."""
+    table = memo.get((comp, J))
+    if table is not None:
+        return table
+    rows = memo.get(J)
+    if rows is None:
+        inner = J.inner_roots()
+        rows = memo[J] = [
+            (u, support(u) - inner, length(u) % 2)
+            for u in enumerate_parabolic(J.n, inner | J.roots())
+        ]
+    table = {}
+    for u, outer, parity in rows:
+        val = poly_eval_one(kl_poly(u, comp))
+        if val:
+            table[outer, parity] = table.get((outer, parity), 0) + val
+    memo[comp, J] = table
+    return table
+
+
+def _folded_multiplicity(w: MultiWeyl, J: BlockSet, S: BlockSet, memo: dict) -> int:
     _check_preconditions(w, J, S)
-    n = J.n
     lower_roots = frozenset(i * J.r for i in J.members - S.members)
     upper_roots = J.roots()
     s_roots = S.roots()
-    inner = J.inner_roots()
-    par = enumerate_parabolic(n, inner | J.roots())
-    # Precompute per component the contributing elements and values.
-    per_comp: list[list[tuple]] = []
+    folded = {(frozenset(), 0): 1}
     for comp in w:
-        rows = []
-        for u in par:
-            if not bruhat_leq(u, comp):
-                continue
-            val = poly_eval_one(kl_poly(u, comp))
-            if val == 0:
-                continue
-            rows.append((u, support(u) - inner, length(u), val))
-        per_comp.append(rows)
+        step: dict = {}
+        for (outer_a, par_a), va in folded.items():
+            for (outer_b, par_b), vb in _component_table(comp, J, memo).items():
+                key = (outer_a | outer_b, par_a ^ par_b)
+                step[key] = step.get(key, 0) + va * vb
+        folded = step
     total = 0
-    for combo in itertools.product(*per_comp):
-        outer: frozenset[int] = frozenset()
-        l_sum = 0
-        val = 1
-        for _, outer_supp, l_u, v in combo:
-            outer |= outer_supp
-            l_sum += l_u
-            val *= v
-        if not (lower_roots <= outer <= upper_roots):
-            continue
-        sign_exp = l_sum + len(outer - s_roots)
-        total += val if sign_exp % 2 == 0 else -val
+    for (outer, parity), val in folded.items():
+        if lower_roots <= outer <= upper_roots:
+            total += -val if (parity + len(outer - s_roots)) % 2 else val
     return total
 
 
@@ -182,28 +209,36 @@ def _admissible_labels(
     n = S.n
     if max_len is None:
         if n > 6:
-            raise ValueError("max_len must be supplied for rank above 6")
+            raise BoundExceededError("max_len must be supplied for rank above 6")
         max_len = d_L * n * (n - 1) // 2
     needed = S.inner_roots() | S.roots()
-    from .weyl_core import enumerate_group
-
-    reps = [w for w in enumerate_group(n) if needed <= left_ascents(w)]
-    labels = []
-    for combo in itertools.product(reps, repeat=d_L):
-        if mw_length(combo) > max_len:
-            continue
-        ascent_blocks = {
-            i for i in range(1, S.k) if i * S.r in mw_ascent_union(combo)
-        }
-        extra = sorted(ascent_blocks - S.members)
+    # Per representative: its length and the block indices among its
+    # left ascents, computed once.
+    reps = []
+    for w in enumerate_group(n):
+        ascents = left_ascents(w)
+        if needed <= ascents:
+            blocks = frozenset(i for i in range(1, S.k) if i * S.r in ascents)
+            reps.append(((w,), length(w), blocks))
+    # Tuples grow one embedding at a time; lengths are nonnegative, so a
+    # prefix over max_len has no admissible extension.
+    combos = [((), 0, frozenset())]
+    for _ in range(d_L):
+        combos = [
+            (combo + c, l_combo + l_c, b_combo | b_c)
+            for combo, l_combo, b_combo in combos
+            for c, l_c, b_c in reps
+            if l_combo + l_c <= max_len
+        ]
+    keyed = []
+    for combo, l_combo, blocks in combos:
+        extra = sorted(blocks - S.members)
         for t in range(len(extra) + 1):
             for picked in itertools.combinations(extra, t):
-                J = BlockSet(S.r, S.k, S.members | set(picked))
-                labels.append((combo, J))
-    labels.sort(
-        key=lambda pair: (mw_length(pair[0]), pair[0], sorted(pair[1].members))
-    )
-    return labels
+                members = S.members | set(picked)
+                keyed.append(((l_combo, combo, sorted(members)), BlockSet(S.r, S.k, members)))
+    keyed.sort(key=lambda pair: pair[0])
+    return [(key[1], J) for key, J in keyed]
 
 
 def enumerate_constituents(
@@ -221,8 +256,9 @@ def enumerate_constituents(
     [(((1, 2, 3, 4),), [], 1), (((1, 3, 2, 4),), [], 1), (((3, 4, 1, 2),), [], 1)]
     """
     out = []
+    memo: dict = {}
     for w, J in _admissible_labels(S, d_L, max_len):
-        m = steinberg_multiplicity(w, J, S)
+        m = _folded_multiplicity(w, J, S, memo)
         if m != 0:
             out.append((ConstituentLabel(w, J, S), m))
     return out
@@ -274,9 +310,7 @@ def smooth_tits_euler_check(I: BlockSet) -> bool:
     total = GrothVector()
     for K in _subsets_containing(I.members, universe):
         sign = -1 if len(K - I.members) % 2 else 1
-        ind_class = GrothVector()
-        for Jlab in _subsets_containing(K, universe):
-            ind_class = ind_class.add(Jlab)
+        ind_class = GrothVector(dict.fromkeys(_subsets_containing(K, universe), 1))
         total = total + ind_class.scale(sign)
     return total == GrothVector().add(I.members)
 
@@ -289,13 +323,16 @@ def check_complex_squares_zero(I: BlockSet) -> bool:
     True
     """
     universe = list(range(1, I.k))
-    for K_top_members in _subsets_containing(I.members, universe):
-        K_top = BlockSet(I.r, I.k, K_top_members)
-        for dropped in itertools.combinations(sorted(K_top_members - I.members), 2):
-            K_bot = BlockSet(I.r, I.k, K_top_members - set(dropped))
+    blocks = {
+        members: BlockSet(I.r, I.k, members)
+        for members in _subsets_containing(I.members, universe)
+    }
+    for top, K_top in blocks.items():
+        for dropped in itertools.combinations(sorted(top - I.members), 2):
+            K_bot = blocks[top - set(dropped)]
             acc = 0
             for mid in dropped:
-                K_mid = BlockSet(I.r, I.k, K_top_members - {mid})
+                K_mid = blocks[top - {mid}]
                 acc += tits_differential_sign(K_top, K_mid) * tits_differential_sign(
                     K_mid, K_bot
                 )
@@ -314,8 +351,9 @@ def analytic_tits_euler_check(
     >>> analytic_tits_euler_check(BlockSet(2, 2), 1)
     True
     """
+    memo: dict = {}
     for w, J in _admissible_labels(S, d_L, max_len):
-        if steinberg_multiplicity(w, J, S) != steinberg_multiplicity_oracle(w, J, S):
+        if _folded_multiplicity(w, J, S, memo) != steinberg_multiplicity_oracle(w, J, S):
             return False
     return True
 

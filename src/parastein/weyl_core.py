@@ -290,27 +290,6 @@ def bruhat_leq(x: Perm, w: Perm) -> bool:
 # Multi-component elements
 
 
-def mw_length(w: MultiWeyl) -> int:
-    """Sum of component lengths.
-
-    >>> mw_length(((2, 1), (1, 2)))
-    1
-    """
-    return sum(length(c) for c in w)
-
-
-def mw_ascent_union(w: MultiWeyl) -> frozenset[int]:
-    """Union over components of the left-ascent sets.
-
-    >>> sorted(mw_ascent_union((((1, 3, 2, 4)), (1, 2, 3, 4))))
-    [1, 2, 3]
-    """
-    out: frozenset[int] = frozenset()
-    for c in w:
-        out |= left_ascents(c)
-    return out
-
-
 def mw_ascent_intersection(w: MultiWeyl) -> frozenset[int]:
     """Intersection over components of the left-ascent sets; this is the
     maximal joint dominance set.

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from parastein import cli_io
 from parastein.cli_io import main
 
 
@@ -159,6 +160,21 @@ def test_error_exit_codes(capsys):
     assert code == 3 and "error" in doc
     code, doc = run(capsys, "kl", "--n", "4", "--x", "[1,2,3,4]")
     assert code == 2 and "error" in doc
+
+
+def test_labels_above_rank_6_exit_3(capsys):
+    code, doc = run(capsys, "steinberg-mult", "--r", "7", "--k", "1", "--S", "-")
+    assert code == 3 and "max_len" in doc["error"]
+    code, doc = run(capsys, "tits-check", "--r", "7", "--k", "1", "--analytic")
+    assert code == 3 and "max_len" in doc["error"]
+
+
+def test_selftest_failure_exit_4(capsys, monkeypatch):
+    monkeypatch.setattr(cli_io, "length", lambda w: -1)
+    code, doc = run(capsys, "selftest", "--level", "quick")
+    assert code == 4
+    assert doc["check"] == "longest length"
+    assert "longest length" in doc["error"]
 
 
 def test_determinism(capsys):

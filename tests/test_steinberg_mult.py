@@ -1,7 +1,9 @@
+import itertools
+
 import pytest
 
 from parastein.cosets import BlockSet
-from parastein.kl_mult import parabolic_verma_mult
+from parastein.kl_mult import kl_poly, parabolic_verma_mult, poly_eval_one
 from parastein.steinberg_mult import (
     GrothVector,
     _admissible_labels,
@@ -13,7 +15,13 @@ from parastein.steinberg_mult import (
     steinberg_multiplicity_oracle,
     tits_differential_sign,
 )
-from parastein.weyl_core import identity
+from parastein.weyl_core import (
+    bruhat_leq,
+    enumerate_parabolic,
+    identity,
+    length,
+    support,
+)
 
 
 def all_blocksets(r, k):
@@ -76,6 +84,57 @@ def test_formula_equals_oracle_envelope():
                 b = steinberg_multiplicity_oracle(w, J, S)
                 assert a == b
                 assert a >= 0
+
+
+def product_sum(w, J, S):
+    """Brute force: the Steinberg sum multiplied out over the d_L-fold
+    product of per-embedding rows, one term per tuple (u_1, ..., u_d)."""
+    lower_roots = frozenset(i * J.r for i in J.members - S.members)
+    inner = J.inner_roots()
+    per_comp = []
+    for comp in w:
+        rows = []
+        for u in enumerate_parabolic(J.n, inner | J.roots()):
+            if not bruhat_leq(u, comp):
+                continue
+            val = poly_eval_one(kl_poly(u, comp))
+            if val:
+                rows.append((support(u) - inner, length(u), val))
+        per_comp.append(rows)
+    total = 0
+    for combo in itertools.product(*per_comp):
+        outer = frozenset().union(*(o for o, _, _ in combo))
+        if not lower_roots <= outer <= J.roots():
+            continue
+        val = 1
+        for _, _, v in combo:
+            val *= v
+        sign_exp = sum(l for _, l, _ in combo) + len(outer - S.roots())
+        total += -val if sign_exp % 2 else val
+    return total
+
+
+def test_fold_equals_product_sum():
+    # d_L = 3 and (1,4,2) reach fold orders and support unions that the
+    # formula-oracle envelope (d_L <= 2) does not.
+    for r, k, d_L in [(2, 2, 3), (1, 3, 3), (1, 4, 2)]:
+        for S in all_blocksets(r, k):
+            for w, J in _admissible_labels(S, d_L, None):
+                assert steinberg_multiplicity(w, J, S) == product_sum(w, J, S)
+
+
+def test_enumerate_constituents_matches_per_label():
+    # enumerate_constituents shares the per-component tables across
+    # labels; each answer must match a fresh per-label computation.
+    for r, k, d_L in [(2, 2, 2), (1, 4, 2)]:
+        for S in all_blocksets(r, k):
+            got = [(lab.w, lab.J, m) for lab, m in enumerate_constituents(S, d_L)]
+            want = [
+                (w, J, m)
+                for w, J in _admissible_labels(S, d_L, None)
+                if (m := steinberg_multiplicity(w, J, S)) != 0
+            ]
+            assert got == want
 
 
 def test_multi_component_factorization():
@@ -147,3 +206,15 @@ def test_groth_vector_arithmetic():
     assert (v + w).coeffs == {"b": 2}
     assert v.scale(0) == GrothVector()
     assert v.scale(3).coeffs == {"a": 3, "b": 6}
+
+
+def test_groth_vector_value_semantics():
+    a = GrothVector().add("x", 2).add("y")
+    b = GrothVector().add("x", -2).add("z", 5)
+    a_before, b_before = dict(a.coeffs), dict(b.coeffs)
+    total = a + b
+    assert total.coeffs == {"y": 1, "z": 5}
+    assert a.add("y", -1).coeffs == {"x": 2}
+    assert a.scale(-1).coeffs == {"x": -2, "y": -1}
+    assert a.coeffs == a_before and b.coeffs == b_before
+    assert (a + a.scale(-1)).coeffs == {}

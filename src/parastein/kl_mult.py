@@ -195,18 +195,32 @@ def parabolic_verma_mult(K: BlockSet, w: MultiWeyl) -> int:
     >>> parabolic_verma_mult(K, ((2, 1, 3, 4),))
     0
     """
+    return _parabolic_verma_mult(K, w, {})
+
+
+def _parabolic_verma_mult(K: BlockSet, w: MultiWeyl, memo: dict) -> int:
+    """``parabolic_verma_mult`` with ``memo`` keeping the rows
+    (u, l(u) mod 2) of each parabolic and each per-component alternating
+    sum, so callers that pass one dict build each of them once.  Keys
+    hold K's members but not its shape: one dict serves one (r, k)."""
     n = K.n
     for comp in w:
         if len(comp) != n:
             raise ValueError(f"component rank {len(comp)} != {n}")
-    roots = K.inner_roots() | K.roots()
-    par = [(u, length(u) % 2) for u in enumerate_parabolic(n, roots)]
+    key = K.members
+    par = memo.get(key)
+    if par is None:
+        roots = K.inner_roots() | K.roots()
+        par = memo[key] = [(u, length(u) % 2) for u in enumerate_parabolic(n, roots)]
     out = 1
     for comp in w:
-        acc = 0
-        for u, parity in par:
-            p = poly_eval_one(kl_poly(u, comp))
-            acc += -p if parity else p
+        acc = memo.get((key, comp))
+        if acc is None:
+            acc = 0
+            for u, parity in par:
+                p = poly_eval_one(kl_poly(u, comp))
+                acc += -p if parity else p
+            memo[key, comp] = acc
         out *= acc
         if out == 0:
             return 0

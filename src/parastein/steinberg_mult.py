@@ -5,10 +5,15 @@ plus formal Tits complexes verified in a Grothendieck group.
 over a parabolic Weyl group; ``steinberg_multiplicity_oracle`` is the
 independent inclusion-exclusion over generalized Verma multiplicities.
 Both must agree on every admissible input; the test suite enforces this.
+Within one ``analytic_tits_euler_check`` call each route keeps its own
+memo dict, so a value is computed once per call but never passed from
+one route to the other, and the check stays independent.
 
 ``GrothVector`` is a finitely supported integer-valued function on
-opaque labels; the Euler-characteristic checks for the smooth and
-analytic Tits complexes are carried out in this group.
+opaque labels.  The Euler-characteristic checks for the smooth and
+analytic Tits complexes are carried out in the Grothendieck group; the
+smooth check and ``check_complex_squares_zero`` label block sets by int
+bitmasks, block index i being bit i - 1.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .cosets import BlockSet
-from .kl_mult import kl_poly, parabolic_verma_mult, poly_eval_one
+from .kl_mult import _parabolic_verma_mult, kl_poly, poly_eval_one
 from .weyl_core import (
     BoundExceededError,
     MultiWeyl,
@@ -130,15 +135,17 @@ def steinberg_multiplicity(w: MultiWeyl, J: BlockSet, S: BlockSet) -> int:
 def _component_table(comp: Perm, J: BlockSet, memo: dict) -> dict:
     """{(outer support, length parity): summed P_{u,comp}(1)} over u in
     the parabolic on the inner roots plus J.  ``memo`` keeps the rows of
-    each parabolic under the key J and each table under (comp, J), so
-    callers that pass one dict share them across labels."""
-    table = memo.get((comp, J))
+    each parabolic and each table, so callers that pass one dict share
+    them across labels.  Keys hold J's members but not its shape: one
+    dict serves one (r, k)."""
+    key = J.members
+    table = memo.get((comp, key))
     if table is not None:
         return table
-    rows = memo.get(J)
+    rows = memo.get(key)
     if rows is None:
         inner = J.inner_roots()
-        rows = memo[J] = [
+        rows = memo[key] = [
             (u, support(u) - inner, length(u) % 2)
             for u in enumerate_parabolic(J.n, inner | J.roots())
         ]
@@ -147,7 +154,7 @@ def _component_table(comp: Perm, J: BlockSet, memo: dict) -> dict:
         val = poly_eval_one(kl_poly(u, comp))
         if val:
             table[outer, parity] = table.get((outer, parity), 0) + val
-    memo[comp, J] = table
+    memo[comp, key] = table
     return table
 
 
@@ -183,13 +190,20 @@ def steinberg_multiplicity_oracle(w: MultiWeyl, J: BlockSet, S: BlockSet) -> int
     >>> steinberg_multiplicity_oracle(((2, 3, 1, 4),), empty, empty)
     0
     """
+    return _oracle(w, J, S, {})
+
+
+def _oracle(w: MultiWeyl, J: BlockSet, S: BlockSet, memo: dict) -> int:
+    """``steinberg_multiplicity_oracle`` with ``memo`` passed on to
+    ``_parabolic_verma_mult``, so callers that pass one dict build each
+    K's rows and per-component sums once.  One dict serves one (r, k)."""
     _check_preconditions(w, J, S)
     extra = sorted(J.members - S.members)
     total = 0
     for t in range(len(extra) + 1):
         for picked in itertools.combinations(extra, t):
             K = BlockSet(J.r, J.k, S.members | set(picked))
-            term = parabolic_verma_mult(K, w)
+            term = _parabolic_verma_mult(K, w, memo)
             total += term if t % 2 == 0 else -term
     return total
 
@@ -206,6 +220,10 @@ class ConstituentLabel:
 def _admissible_labels(
     S: BlockSet, d_L: int, max_len: int | None
 ) -> list[tuple[MultiWeyl, BlockSet]]:
+    if d_L < 1:
+        raise ValueError(f"d_L must be at least 1, got {d_L}")
+    if max_len is not None and max_len < 0:
+        raise ValueError(f"max_len must be nonnegative, got {max_len}")
     n = S.n
     if max_len is None:
         if n > 6:
@@ -281,18 +299,35 @@ def tits_differential_sign(K_prime: BlockSet, K: BlockSet) -> int:
     >>> tits_differential_sign(BlockSet(1, 4, frozenset({1})), BlockSet(1, 4, frozenset({3})))
     0
     """
-    if not (K.members < K_prime.members and len(K_prime.members - K.members) == 1):
+    return _sign(_mask(K_prime.members), _mask(K.members))
+
+
+def _mask(members: frozenset[int]) -> int:
+    """Block set as an int: block index i is bit i - 1."""
+    return sum(1 << (i - 1) for i in members)
+
+
+def _sign(top: int, bot: int) -> int:
+    """``tits_differential_sign`` on bitmasks.  The position of the new
+    index among the members of ``top`` is the number of members at or
+    below it."""
+    new = top ^ bot
+    if not new or new & (new - 1) or bot & ~top:
         return 0
-    new = next(iter(K_prime.members - K.members))
-    position = sorted(K_prime.members).index(new) + 1
+    position = (top & ((new << 1) - 1)).bit_count()
     return -1 if position % 2 else 1
 
 
-def _subsets_containing(base: frozenset[int], universe: list[int]):
-    extra = [i for i in universe if i not in base]
-    for t in range(len(extra) + 1):
-        for picked in itertools.combinations(extra, t):
-            yield frozenset(base | set(picked))
+def _supermasks(base: int, universe: int):
+    """Every mask between ``base`` and ``universe``, by a submask walk
+    over the bits outside ``base``."""
+    free = universe & ~base
+    sub = free
+    while True:
+        yield base | sub
+        if not sub:
+            return
+        sub = (sub - 1) & free
 
 
 def smooth_tits_euler_check(I: BlockSet) -> bool:
@@ -306,13 +341,14 @@ def smooth_tits_euler_check(I: BlockSet) -> bool:
     >>> smooth_tits_euler_check(BlockSet(1, 4, frozenset({2})))
     True
     """
-    universe = list(range(1, I.k))
-    total = GrothVector()
-    for K in _subsets_containing(I.members, universe):
-        sign = -1 if len(K - I.members) % 2 else 1
-        ind_class = GrothVector(dict.fromkeys(_subsets_containing(K, universe), 1))
-        total = total + ind_class.scale(sign)
-    return total == GrothVector().add(I.members)
+    universe = (1 << (I.k - 1)) - 1
+    base = _mask(I.members)
+    total: dict[int, int] = {}
+    for K in _supermasks(base, universe):
+        sign = -1 if (K ^ base).bit_count() % 2 else 1
+        for L in _supermasks(K, universe):
+            total[L] = total.get(L, 0) + sign
+    return {L: c for L, c in total.items() if c} == {base: 1}
 
 
 def check_complex_squares_zero(I: BlockSet) -> bool:
@@ -322,20 +358,14 @@ def check_complex_squares_zero(I: BlockSet) -> bool:
     >>> check_complex_squares_zero(BlockSet(1, 5))
     True
     """
-    universe = list(range(1, I.k))
-    blocks = {
-        members: BlockSet(I.r, I.k, members)
-        for members in _subsets_containing(I.members, universe)
-    }
-    for top, K_top in blocks.items():
-        for dropped in itertools.combinations(sorted(top - I.members), 2):
-            K_bot = blocks[top - set(dropped)]
-            acc = 0
-            for mid in dropped:
-                K_mid = blocks[top - {mid}]
-                acc += tits_differential_sign(K_top, K_mid) * tits_differential_sign(
-                    K_mid, K_bot
-                )
+    universe = (1 << (I.k - 1)) - 1
+    base = _mask(I.members)
+    for top in _supermasks(base, universe):
+        free = top & ~base
+        removable = [1 << b for b in range(I.k - 1) if free >> b & 1]
+        for dropped in itertools.combinations(removable, 2):
+            bot = top & ~(dropped[0] | dropped[1])
+            acc = sum(_sign(top, top ^ mid) * _sign(top ^ mid, bot) for mid in dropped)
             if acc != 0:
                 return False
     return True
@@ -348,12 +378,19 @@ def analytic_tits_euler_check(
     for every admissible label, the inclusion-exclusion over the terms
     equals the direct multiplicity formula.
 
+    The formula and the oracle each keep their own dict for the whole
+    call: the formula's holds its ``_component_table``s, the oracle's its
+    per-K rows and per-(K, component) alternating sums.  No entry passes
+    from one route to the other, so each label's two integers are still
+    computed independently.
+
     >>> analytic_tits_euler_check(BlockSet(2, 2), 1)
     True
     """
-    memo: dict = {}
+    formula_memo: dict = {}
+    oracle_memo: dict = {}
     for w, J in _admissible_labels(S, d_L, max_len):
-        if _folded_multiplicity(w, J, S, memo) != steinberg_multiplicity_oracle(w, J, S):
+        if _folded_multiplicity(w, J, S, formula_memo) != _oracle(w, J, S, oracle_memo):
             return False
     return True
 

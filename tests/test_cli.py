@@ -169,6 +169,21 @@ def test_labels_above_rank_6_exit_3(capsys):
     assert code == 3 and "max_len" in doc["error"]
 
 
+@pytest.mark.parametrize("d_l", ["0", "-3"])
+def test_degree_below_one_exit_2(capsys, d_l):
+    code, doc = run(capsys, "steinberg-mult", "--r", "2", "--k", "2", "--dL", d_l, "--S", "-")
+    assert code == 2 and "d_L" in doc["error"]
+    code, doc = run(capsys, "tits-check", "--r", "2", "--k", "2", "--analytic", "--dL", d_l)
+    assert code == 2 and "d_L" in doc["error"]
+
+
+def test_negative_max_len_exit_2(capsys):
+    code, doc = run(capsys, "steinberg-mult", "--r", "2", "--k", "2", "--S", "-", "--max-len", "-1")
+    assert code == 2 and "max_len" in doc["error"]
+    code, doc = run(capsys, "tits-check", "--r", "2", "--k", "2", "--analytic", "--max-len", "-1")
+    assert code == 2 and "max_len" in doc["error"]
+
+
 def test_selftest_failure_exit_4(capsys, monkeypatch):
     monkeypatch.setattr(cli_io, "length", lambda w: -1)
     code, doc = run(capsys, "selftest", "--level", "quick")

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from parastein.cosets import BlockSet
@@ -58,6 +60,45 @@ def test_kl_suite_s4():
                 sx = multiply(s, x)
                 if length(sx) > length(x):
                     assert kl_poly(sx, w) == p
+
+
+def test_kl_anchor_4231():
+    assert kl_poly(identity(4), (4, 2, 3, 1)) == (1, 1)
+
+
+def conjugate_by_w0(w):
+    # w0 * w * w0 in one-line notation
+    n = len(w)
+    return tuple(n + 1 - w[n - i] for i in range(1, n + 1))
+
+
+def test_kl_w0_conjugation_s5():
+    group = enumerate_group(5)
+    for x in group:
+        for w in group:
+            assert kl_poly(x, w) == kl_poly(conjugate_by_w0(x), conjugate_by_w0(w))
+
+
+def contains_pattern(w, pattern):
+    k = len(pattern)
+    for positions in itertools.combinations(range(len(w)), k):
+        values = [w[i] for i in positions]
+        if all(
+            (values[a] < values[b]) == (pattern[a] < pattern[b])
+            for a in range(k)
+            for b in range(a + 1, k)
+        ):
+            return True
+    return False
+
+
+def test_lakshmibai_sandhya_s5():
+    # P_{e,w} = 1 exactly when the Schubert variety of w is smooth, that
+    # is, when w avoids the patterns 3412 and 4231.
+    e = identity(5)
+    for w in enumerate_group(5):
+        smooth = not contains_pattern(w, (3, 4, 1, 2)) and not contains_pattern(w, (4, 2, 3, 1))
+        assert (kl_poly(e, w) == (1,)) == smooth
 
 
 def test_mu_symmetry_small():

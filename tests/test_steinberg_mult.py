@@ -2,11 +2,13 @@ import itertools
 
 import pytest
 
+from parastein import steinberg_mult
 from parastein.cosets import BlockSet
 from parastein.kl_mult import kl_poly, parabolic_verma_mult, poly_eval_one
 from parastein.steinberg_mult import (
     GrothVector,
     _admissible_labels,
+    _oracle,
     analytic_tits_euler_check,
     check_complex_squares_zero,
     enumerate_constituents,
@@ -137,6 +139,16 @@ def test_enumerate_constituents_matches_per_label():
             assert got == want
 
 
+def test_shared_oracle_memo_matches_fresh_oracle():
+    # analytic_tits_euler_check passes one oracle dict per call; each
+    # answer must match an oracle call with a fresh dict.
+    for r, k, d_L in [(2, 2, 2), (1, 4, 2)]:
+        for S in all_blocksets(r, k):
+            memo = {}
+            for w, J in _admissible_labels(S, d_L, None):
+                assert _oracle(w, J, S, memo) == steinberg_multiplicity_oracle(w, J, S)
+
+
 def test_multi_component_factorization():
     # independent components multiply when the support conditions decouple
     empty = BlockSet(2, 2)
@@ -178,6 +190,29 @@ def test_tits_differential_sign():
     assert tits_differential_sign(K13, BlockSet(1, 4, frozenset({3}))) == -1
     assert tits_differential_sign(K13, BlockSet(1, 4, frozenset({1}))) == 1
     assert tits_differential_sign(BlockSet(1, 4, frozenset({1})), K13) == 0
+
+
+def sorted_index_sign(K_prime, K):
+    """Reference sign rule on block index sets: the 1-based position of
+    the new index in the sorted members of K'."""
+    if not (K.members < K_prime.members and len(K_prime.members - K.members) == 1):
+        return 0
+    new = next(iter(K_prime.members - K.members))
+    position = sorted(K_prime.members).index(new) + 1
+    return -1 if position % 2 else 1
+
+
+def test_tits_differential_sign_matches_sorted_index():
+    subsets = list(all_blocksets(1, 6))
+    for K_prime in subsets:
+        for K in subsets:
+            assert tits_differential_sign(K_prime, K) == sorted_index_sign(K_prime, K)
+
+
+def test_complex_squares_zero_fails_without_position_parity(monkeypatch):
+    sign = steinberg_mult._sign
+    monkeypatch.setattr(steinberg_mult, "_sign", lambda top, bot: abs(sign(top, bot)))
+    assert not check_complex_squares_zero(BlockSet(1, 4))
 
 
 def test_complex_squares_zero_up_to_k5():

@@ -1,7 +1,11 @@
-"""Deterministic JSON command-line front end.
+"""Deterministic JSON command-line front end, ``parastein <verb> [options]``.
 
-Every verb prints exactly one JSON document on standard output.  Exit
-codes, each failure with {"error": ...} on stdout:
+The parser is the standard library's ``argparse``: one subparser per
+verb, built from the option rows of ``VERBS``.  Options are never
+abbreviated, ``--opt=value`` works, a repeated option's last value wins,
+and only ``--help`` prints help (plain text, exit 0).  Otherwise every
+verb prints exactly one JSON document on standard output.  Exit codes,
+each failure with {"error": ...} on stdout:
 
 - 0 success;
 - 2 bad input: a usage error or a failed precondition;
@@ -13,10 +17,9 @@ codes, each failure with {"error": ...} on stdout:
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
-
-import click
 
 from . import ext_calc, kl_mult, segments, steinberg_mult
 from .cosets import (
@@ -100,14 +103,6 @@ def _parse_rep(text: str, k: int) -> ext_calc.RepDescriptor:
     raise ValueError(f"unknown rep descriptor tag: {tag!r}")
 
 
-@click.group()
-def cli() -> None:
-    """Symbolic engine for coset combinatorics and multiplicity formulas."""
-
-
-@cli.command("weyl")
-@click.option("--n", type=int, required=True)
-@click.option("--w", "w_text", type=str, required=True)
 def weyl_cmd(n: int, w_text: str) -> None:
     w = parse_perm(w_text, n)
     _emit(
@@ -123,11 +118,6 @@ def weyl_cmd(n: int, w_text: str) -> None:
     )
 
 
-@cli.command("cosets")
-@click.option("--n", type=int, required=True)
-@click.option("--i", "--I", "i_text", type=str, required=True)
-@click.option("--j", "--J", "j_text", type=str, required=True)
-@click.option("--matrices/--no-matrices", default=False)
 def cosets_cmd(n: int, i_text: str, j_text: str, matrices: bool) -> None:
     I = _parse_roots(i_text, n)
     J = _parse_roots(j_text, n)
@@ -142,36 +132,18 @@ def cosets_cmd(n: int, i_text: str, j_text: str, matrices: bool) -> None:
     _emit(doc)
 
 
-@cli.command("kl")
-@click.option("--n", type=int, required=True)
-@click.option("--x", "x_text", type=str, required=True)
-@click.option("--w", "w_text", type=str, required=True)
 def kl_cmd(n: int, x_text: str, w_text: str) -> None:
     x = parse_perm(x_text, n)
     w = parse_perm(w_text, n)
     _emit({"coeffs": list(kl_mult.kl_poly(x, w))})
 
 
-@cli.command("mult")
-@click.option("--r", type=int, required=True)
-@click.option("--k", type=int, required=True)
-@click.option("--dl", "--dL", "d_l", type=int, default=1)
-@click.option("--kset", "--K", "k_text", type=str, default="-")
-@click.option("--w", "w_text", type=str, required=True)
 def mult_cmd(r: int, k: int, d_l: int, k_text: str, w_text: str) -> None:
     K = parse_blockset(k_text, r, k)
     w = _parse_multiweyl(w_text, r * k, d_l)
     _emit({"K": format_blockset(K), "m": kl_mult.parabolic_verma_mult(K, w)})
 
 
-@cli.command("steinberg-mult")
-@click.option("--r", type=int, required=True)
-@click.option("--k", type=int, required=True)
-@click.option("--dl", "--dL", "d_l", type=int, default=1)
-@click.option("--w", "w_text", type=str, default=None)
-@click.option("--j", "--J", "j_text", type=str, default="-")
-@click.option("--s", "--S", "s_text", type=str, default="-")
-@click.option("--max-len", type=int, default=None)
 def steinberg_cmd(
     r: int, k: int, d_l: int, w_text: str | None, j_text: str, s_text: str, max_len: int | None
 ) -> None:
@@ -205,18 +177,11 @@ def steinberg_cmd(
     )
 
 
-@cli.command("jh")
-@click.option("--r", type=int, required=True)
-@click.option("--k", type=int, required=True)
 def jh_cmd(r: int, k: int) -> None:
     factors = segments.jh_factors(r, k)
     _emit({"count": len(factors), "factors": [format_blockset(f) for f in factors]})
 
 
-@cli.command("segments")
-@click.option("--r", type=int, required=True)
-@click.option("--k", type=int, required=True)
-@click.option("--i", "--I", "i_text", type=str, default="-")
 def segments_cmd(r: int, k: int, i_text: str) -> None:
     I = parse_blockset(i_text, r, k)
     segs = segments.pi_I_segments(r, k, I)
@@ -228,9 +193,6 @@ def segments_cmd(r: int, k: int, i_text: str) -> None:
     )
 
 
-@cli.command("jacquet")
-@click.option("--r", type=int, required=True)
-@click.option("--k", type=int, required=True)
 def jacquet_cmd(r: int, k: int) -> None:
     terms = segments.jacquet_decomposition(r, k)
     _emit(
@@ -244,13 +206,6 @@ def jacquet_cmd(r: int, k: int) -> None:
     )
 
 
-@cli.command("tits-check")
-@click.option("--r", type=int, required=True)
-@click.option("--k", type=int, required=True)
-@click.option("--analytic/--smooth", default=False)
-@click.option("--s", "--S", "s_text", type=str, default="-")
-@click.option("--dl", "--dL", "d_l", type=int, default=1)
-@click.option("--max-len", type=int, default=None)
 def tits_cmd(r: int, k: int, analytic: bool, s_text: str, d_l: int, max_len: int | None) -> None:
     if analytic:
         S = parse_blockset(s_text, r, k)
@@ -269,15 +224,6 @@ def tits_cmd(r: int, k: int, analytic: bool, s_text: str, d_l: int, max_len: int
     _emit({"mode": "smooth", "ok": ok, "checked": checked})
 
 
-@cli.command("ext-dim")
-@click.option("--kind", type=click.Choice(["smooth", "analytic"]), required=True)
-@click.option("--fixed-center/--free-center", default=False)
-@click.option("--degree", type=int, required=True)
-@click.option("--left", "left_text", type=str, required=True)
-@click.option("--right", "right_text", type=str, required=True)
-@click.option("--r", type=int, required=True)
-@click.option("--k", type=int, required=True)
-@click.option("--dl", "--dL", "d_l", type=int, default=1)
 def ext_cmd(
     kind: str,
     fixed_center: bool,
@@ -305,8 +251,6 @@ def ext_cmd(
         _emit({"dim": ans.value, "cite": ans.rule})
 
 
-@cli.command("selftest")
-@click.option("--level", type=click.Choice(["quick", "full"]), default="quick")
 def selftest_cmd(level: str) -> None:
     checks = run_selftest(level)
     _emit({"ok": True, "level": level, "checks": checks})
@@ -413,13 +357,79 @@ def run_selftest(level: str) -> int:
     return checks
 
 
+# One row per option: (names, dest, type, default).  A default of ...
+# makes the option required; type bool makes names an (on, off) flag
+# pair defaulting to False; a tuple type lists a string's choices.
+_N = (("--n",), "n", int, ...)
+_R = (("--r",), "r", int, ...)
+_K = (("--k",), "k", int, ...)
+_W = (("--w",), "w_text", str, ...)
+_DL = (("--dl", "--dL"), "d_l", int, 1)
+_S = (("--s", "--S"), "s_text", str, "-")
+_MAX_LEN = (("--max-len",), "max_len", int, None)
+
+VERBS = {
+    "weyl": (weyl_cmd, [_N, _W]),
+    "cosets": (cosets_cmd, [_N, (("--i", "--I"), "i_text", str, ...),
+                            (("--j", "--J"), "j_text", str, ...),
+                            (("--matrices", "--no-matrices"), "matrices", bool, False)]),
+    "kl": (kl_cmd, [_N, (("--x",), "x_text", str, ...), _W]),
+    "mult": (mult_cmd, [_R, _K, _DL, (("--kset", "--K"), "k_text", str, "-"), _W]),
+    "steinberg-mult": (steinberg_cmd, [_R, _K, _DL, (("--w",), "w_text", str, None),
+                                       (("--j", "--J"), "j_text", str, "-"), _S, _MAX_LEN]),
+    "jh": (jh_cmd, [_R, _K]),
+    "segments": (segments_cmd, [_R, _K, (("--i", "--I"), "i_text", str, "-")]),
+    "jacquet": (jacquet_cmd, [_R, _K]),
+    "tits-check": (tits_cmd, [_R, _K, (("--analytic", "--smooth"), "analytic", bool, False),
+                              _S, _DL, _MAX_LEN]),
+    "ext-dim": (ext_cmd, [(("--kind",), "kind", ("smooth", "analytic"), ...),
+                          (("--fixed-center", "--free-center"), "fixed_center", bool, False),
+                          (("--degree",), "degree", int, ...), (("--left",), "left_text", str, ...),
+                          (("--right",), "right_text", str, ...), _R, _K, _DL]),
+    "selftest": (selftest_cmd, [(("--level",), "level", ("quick", "full"), "quick")]),
+}
+
+
+class _Help(Exception):
+    """``--help`` has printed the usage; the call exits 0."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises instead of printing to stderr and exiting: ValueError
+    (exit 2) on a usage error, ``_Help`` after ``--help``."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+    def exit(self, status: int = 0, message: str | None = None):
+        raise _Help
+
+
+def _parser() -> _Parser:
+    top = _Parser(prog="parastein", allow_abbrev=False, add_help=False)
+    top.add_argument("--help", action="help")
+    verbs = top.add_subparsers(dest="verb", required=True)
+    for verb, (_, rows) in VERBS.items():
+        sub = verbs.add_parser(verb, allow_abbrev=False, add_help=False)
+        sub.add_argument("--help", action="help")
+        for names, dest, kind, default in rows:
+            if kind is bool:
+                sub.add_argument(names[0], dest=dest, action="store_true")
+                sub.add_argument(names[1], dest=dest, action="store_false", default=False)
+                continue
+            choices = kind if isinstance(kind, tuple) else None
+            sub.add_argument(*names, dest=dest, type=str if choices else kind, choices=choices,
+                             default=default, required=default is ...)
+    return top
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        cli.main(args=argv, standalone_mode=False)
+        args = vars(_parser().parse_args(argv))
+        VERBS[args.pop("verb")][0](**args)
         return 0
-    except click.UsageError as exc:
-        _emit({"error": exc.format_message()})
-        return 2
+    except _Help:
+        return 0
     except BoundExceededError as exc:
         _emit({"error": str(exc)})
         return 3

@@ -16,6 +16,7 @@ from fractions import Fraction
 from .cosets import BlockSet
 from .weyl_core import (
     DEFAULT_ENUM_BOUND,
+    BoundExceededError,
     Perm,
     enumerate_group,
     inverse,
@@ -155,7 +156,16 @@ def jh_factors(r: int, k: int) -> list[BlockSet]:
     2
     >>> len(jh_factors(1, 4))
     8
+
+    There are 2^{k-1} labels, so k is held to the enumeration bound:
+
+    >>> jh_factors(1, 40)
+    Traceback (most recent call last):
+    ...
+    parastein.weyl_core.BoundExceededError: k = 40 exceeds enumeration bound 9
     """
+    if k > DEFAULT_ENUM_BOUND:
+        raise BoundExceededError(f"k = {k} exceeds enumeration bound {DEFAULT_ENUM_BOUND}")
     subsets = []
     indices = list(range(1, k))
     for mask in range(1 << len(indices)):

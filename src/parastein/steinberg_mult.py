@@ -202,8 +202,7 @@ def _oracle(w: MultiWeyl, J: BlockSet, S: BlockSet, memo: dict) -> int:
     total = 0
     for t in range(len(extra) + 1):
         for picked in itertools.combinations(extra, t):
-            K = BlockSet(J.r, J.k, S.members | set(picked))
-            term = _parabolic_verma_mult(K, w, memo)
+            term = _parabolic_verma_mult(J.r, J.k, S.members.union(picked), w, memo)
             total += term if t % 2 == 0 else -term
     return total
 

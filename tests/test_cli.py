@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -162,6 +165,12 @@ def test_error_exit_codes(capsys):
     assert code == 2 and "error" in doc
 
 
+@pytest.mark.parametrize("verb", ["jh", "tits-check"])
+def test_jh_above_enumeration_bound_exit_3(capsys, verb):
+    code, doc = run(capsys, verb, "--r", "1", "--k", "40")
+    assert code == 3 and "enumeration bound" in doc["error"]
+
+
 def test_labels_above_rank_6_exit_3(capsys):
     code, doc = run(capsys, "steinberg-mult", "--r", "7", "--k", "1", "--S", "-")
     assert code == 3 and "max_len" in doc["error"]
@@ -203,3 +212,112 @@ def test_determinism(capsys):
 def test_selftest_quick(capsys):
     code, doc = run(capsys, "selftest", "--level", "quick")
     assert code == 0 and doc["ok"] is True and doc["checks"] > 50
+
+
+EXT_ARGS = ["--degree", "1", "--left", "i:1", "--right", "i:-", "--r", "2", "--k", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param([], id="no-verb"),
+        pytest.param(["nope"], id="unknown-verb"),
+        pytest.param(["weyl", "--n", "4"], id="missing-option"),
+        pytest.param(["weyl", "--n", "x", "--w", "e"], id="non-integer"),
+        pytest.param(["ext-dim", "--kind", "bad", *EXT_ARGS], id="bad-kind"),
+        pytest.param(["selftest", "--level", "medium"], id="bad-level"),
+        pytest.param(["weyl", "--n", "4", "--w", "e", "--foo"], id="unknown-option"),
+        pytest.param(["weyl", "--n", "4", "--w", "e", "extra"], id="extra-positional"),
+        pytest.param(["steinberg-mult", "--r", "2", "--k", "2", "--max", "3"], id="abbrev-max"),
+        pytest.param(["cosets", "--n", "4", "--I", "-", "--J", "-", "--matr"], id="abbrev-matr"),
+        pytest.param(["weyl", "--n", "4", "--w", "e", "-h"], id="short-help"),
+    ],
+)
+def test_usage_errors_exit_2(capsys, argv):
+    code, doc = run(capsys, *argv)
+    assert code == 2 and list(doc) == ["error"]
+
+
+@pytest.mark.parametrize(
+    "argv, twin",
+    [
+        (
+            ["cosets", "--n", "4", "--i", "1", "--j", "1,3", "--no-matrices"],
+            ["cosets", "--n", "4", "--I", "1", "--J", "1,3"],
+        ),
+        (
+            ["cosets", "--n", "4", "--I", "1", "--J", "-", "--no-matrices", "--matrices"],
+            ["cosets", "--n", "4", "--I", "1", "--J", "-", "--matrices"],
+        ),
+        (
+            ["mult", "--r", "2", "--k", "2", "--dl", "2", "--kset", "1", "--w", "[1,3,2,4]"],
+            ["mult", "--r=2", "--k=2", "--dL=2", "--K=1", "--w=[1,3,2,4]"],
+        ),
+        (
+            ["steinberg-mult", "--r", "2", "--k", "2", "--dl", "2", "--s", "-", "--j", "1"],
+            ["steinberg-mult", "--r", "2", "--k", "2", "--dL", "2", "--S", "-", "--J", "1"],
+        ),
+        (
+            ["steinberg-mult", "--r", "2", "--k", "2", "--S", "-", "--max-len", "1"],
+            ["steinberg-mult", "--r", "2", "--k", "2", "--S", "-", "--max-len", "3", "--max-len=1"],
+        ),
+        (
+            ["segments", "--r", "1", "--k", "3", "--i", "1"],
+            ["segments", "--r", "1", "--k", "3", "--I", "1"],
+        ),
+        (
+            ["tits-check", "--r", "1", "--k", "3", "--analytic", "--smooth"],
+            ["tits-check", "--r", "1", "--k", "3"],
+        ),
+        (
+            ["tits-check", "--r", "1", "--k", "3", "--analytic", "--s", "1", "--dl", "2"],
+            ["tits-check", "--r", "1", "--k", "3", "--analytic", "--S", "1", "--dL", "2"],
+        ),
+        (
+            ["ext-dim", "--kind", "smooth", "--free-center", *EXT_ARGS, "--dl", "1"],
+            ["ext-dim", "--kind", "smooth", *EXT_ARGS, "--dL", "1"],
+        ),
+        (
+            ["ext-dim", "--kind", "smooth", "--free-center", "--fixed-center", *EXT_ARGS],
+            ["ext-dim", "--kind", "smooth", "--fixed-center", *EXT_ARGS],
+        ),
+    ],
+)
+def test_aliases_and_off_flags(capsys, argv, twin):
+    code, doc = run(capsys, *argv)
+    assert code == 0
+    assert run(capsys, *twin) == (0, doc)
+
+
+def test_on_flags_reach_the_handler(capsys):
+    # The twins above would also match if a flag were dropped.
+    code, doc = run(capsys, "cosets", "--n", "3", "--I", "-", "--J", "-", "--matrices")
+    assert code == 0 and "matrices" in doc
+    code, doc = run(capsys, "tits-check", "--r", "1", "--k", "3", "--analytic")
+    assert code == 0 and doc["mode"] == "analytic"
+    code, free = run(capsys, "ext-dim", "--kind", "smooth", *EXT_ARGS)
+    assert code == 0 and free == {"dim": 3, "cite": "R1:smooth-ind-ind"}
+    code, fixed = run(capsys, "ext-dim", "--kind", "smooth", "--fixed-center", *EXT_ARGS)
+    assert code == 0 and fixed["status"] == "not-determined"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["weyl", "--help"]])
+def test_help_returns_0(capsys, argv):
+    assert main(argv) == 0
+    assert "--help" in capsys.readouterr().out
+
+
+def test_cli_imports_every_module_and_not_click():
+    # perfbench/tracing.py finds each traced module in sys.modules after
+    # importing cli_io, and click is no longer a dependency.
+    src = os.path.dirname(os.path.dirname(cli_io.__file__))
+    code = (
+        "import parastein.cli_io, sys; "
+        "assert 'click' not in sys.modules, 'click imported'; "
+        "mods = ['weyl_core', 'cosets', 'kl_mult', 'steinberg_mult', 'segments', 'ext_calc']; "
+        "missing = [m for m in mods if 'parastein.' + m not in sys.modules]; "
+        "assert not missing, missing"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

@@ -15,7 +15,13 @@ from parastein.segments import (
     pi_base_twists,
     theta_fiber,
 )
-from parastein.weyl_core import enumerate_group, identity, longest_element
+from parastein.weyl_core import (
+    DEFAULT_ENUM_BOUND,
+    BoundExceededError,
+    enumerate_group,
+    identity,
+    longest_element,
+)
 
 
 def all_blocksets(r, k):
@@ -105,3 +111,11 @@ def test_jh_factor_counts():
         factors = jh_factors(r, k)
         assert len(factors) == 2 ** (k - 1)
         assert len({f.members for f in factors}) == len(factors)
+
+
+def test_jh_factors_bounded_before_enumerating():
+    assert len(jh_factors(1, DEFAULT_ENUM_BOUND)) == 2 ** (DEFAULT_ENUM_BOUND - 1)
+    # k = 40 would mean 2^39 labels: the bound must stop it before any is built.
+    for k in (DEFAULT_ENUM_BOUND + 1, 40):
+        with pytest.raises(BoundExceededError, match="enumeration bound"):
+            jh_factors(1, k)

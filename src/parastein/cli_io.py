@@ -1,9 +1,10 @@
 """Deterministic JSON command-line front end, ``parastein <verb> [options]``.
 
-The parser is the standard library's ``argparse``: one subparser per
-verb, built from the option rows of ``VERBS``.  Options are never
-abbreviated, ``--opt=value`` works, a repeated option's last value wins,
-and only ``--help`` prints help (plain text, exit 0).  Otherwise every
+The parser is the standard library's ``argparse``, built from the option
+rows of ``VERBS``: only the subparser of the verb in the first argument,
+or every subparser when the first argument names no verb.  Options are
+never abbreviated, ``--opt=value`` works, a repeated option's last value
+wins, and only ``--help`` prints help (plain text, exit 0).  Otherwise every
 verb prints exactly one JSON document on standard output.  Exit codes,
 each failure with {"error": ...} on stdout:
 
@@ -405,14 +406,19 @@ class _Parser(argparse.ArgumentParser):
         raise _Help
 
 
-def _parser() -> _Parser:
+def _parser(argv: list[str]) -> _Parser:
+    """The parser for ``argv``: with the subparser of the verb
+    ``argv[0]`` alone, or with every subparser when ``argv[0]`` names no
+    verb (no arguments, an unknown verb, or a top-level ``--help``), so
+    that those messages list every verb."""
     top = _Parser(prog="parastein", allow_abbrev=False, add_help=False)
     top.add_argument("--help", action="help")
     verbs = top.add_subparsers(dest="verb", required=True)
-    for verb, (_, rows) in VERBS.items():
+    wanted = argv[:1] if argv and argv[0] in VERBS else VERBS
+    for verb in wanted:
         sub = verbs.add_parser(verb, allow_abbrev=False, add_help=False)
         sub.add_argument("--help", action="help")
-        for names, dest, kind, default in rows:
+        for names, dest, kind, default in VERBS[verb][1]:
             if kind is bool:
                 sub.add_argument(names[0], dest=dest, action="store_true")
                 sub.add_argument(names[1], dest=dest, action="store_false", default=False)
@@ -424,8 +430,10 @@ def _parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = vars(_parser().parse_args(argv))
+        args = vars(_parser(argv).parse_args(argv))
         VERBS[args.pop("verb")][0](**args)
         return 0
     except _Help:

@@ -11,33 +11,32 @@ all live here.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .weyl_core import (
     DEFAULT_ENUM_BOUND,
     Perm,
+    _Frozen,
     enumerate_group,
     inverse,
     length,
 )
 
 
-@dataclass(frozen=True)
-class BlockSet:
+class BlockSet(_Frozen):
     """Subset of the block roots of S_{rk}, stored as block indices."""
 
-    r: int
-    k: int
-    members: frozenset[int] = field(default_factory=frozenset)
+    __slots__ = ("r", "k", "members")
 
-    def __post_init__(self) -> None:
-        if self.r < 1 or self.k < 1:
+    def __init__(self, r: int, k: int, members: frozenset[int] = frozenset()) -> None:
+        if r < 1 or k < 1:
             raise ValueError("r and k must be positive")
-        bad = [i for i in self.members if not 1 <= i <= self.k - 1]
+        bad = [i for i in members if not 1 <= i <= k - 1]
         if bad:
-            raise ValueError(f"block indices {bad} out of range 1..{self.k - 1}")
-        object.__setattr__(self, "members", frozenset(self.members))
+            raise ValueError(f"block indices {bad} out of range 1..{k - 1}")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "members", frozenset(members))
 
     @property
     def n(self) -> int:

@@ -9,14 +9,13 @@ internal rule anchor (R1..R11) that produced it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .cosets import BlockSet
+from .weyl_core import _Frozen
 
 
-@dataclass(frozen=True)
-class RepDescriptor:
+class RepDescriptor(_Frozen):
     """One side of an Ext query.
 
     kind is one of:
@@ -29,30 +28,59 @@ class RepDescriptor:
       "levi-self"   - the inducing module against itself at the Levi level
     """
 
-    kind: str
-    blocks: frozenset[int] = frozenset()
-    index: int | None = None
-    sigma: int | None = None
+    __slots__ = ("kind", "blocks", "index", "sigma")
+
+    def __init__(
+        self,
+        kind: str,
+        blocks: frozenset[int] = frozenset(),
+        index: int | None = None,
+        sigma: int | None = None,
+    ) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "sigma", sigma)
 
 
-@dataclass(frozen=True)
-class ExtQuery:
-    flavor: str  # "smooth" | "analytic"
-    fixed_center: bool
-    degree: int
-    left: RepDescriptor
-    right: RepDescriptor
-    r: int
-    k: int
-    d_L: int
+class ExtQuery(_Frozen):
+    __slots__ = ("flavor", "fixed_center", "degree", "left", "right", "r", "k", "d_L")
+
+    def __init__(
+        self,
+        flavor: str,  # "smooth" | "analytic"
+        fixed_center: bool,
+        degree: int,
+        left: RepDescriptor,
+        right: RepDescriptor,
+        r: int,
+        k: int,
+        d_L: int,
+    ) -> None:
+        object.__setattr__(self, "flavor", flavor)
+        object.__setattr__(self, "fixed_center", fixed_center)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "d_L", d_L)
 
 
-@dataclass(frozen=True)
-class ExtAnswer:
-    status: str  # "dimension" | "zero" | "not-determined"
-    dim: int | None
-    rule: str
-    note: str = ""
+class ExtAnswer(_Frozen):
+    __slots__ = ("status", "dim", "rule", "note")
+
+    def __init__(
+        self,
+        status: str,  # "dimension" | "zero" | "not-determined"
+        dim: int | None,
+        rule: str,
+        note: str = "",
+    ) -> None:
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "note", note)
 
     @property
     def value(self) -> int | None:

@@ -99,12 +99,17 @@ def kl_poly(x: Perm, w: Perm) -> Poly:
     return _kl(x, w)
 
 
-def _kl(x: Perm, w: Perm) -> Poly:
+def _kl(x: Perm, w: Perm, cap: int | None = ...) -> Poly:
+    """P_{x,w} through the memo table, which may hold at most ``cap``
+    entries (None: no cap).  By default the cap is read from
+    PARASTEIN_KL_CACHE_CAP at the first memo miss, and the recursion
+    passes the value down, so a public call reads it at most once."""
     key = (x, w)
     cached = _kl_cache.get(key)
     if cached is not None:
         return cached
-    cap = _cache_cap()
+    if cap is ...:
+        cap = _cache_cap()
     if cap is not None and len(_kl_cache) >= cap:
         raise BoundExceededError(
             f"KL memo table exceeded the configured cap of {cap} entries"
@@ -120,10 +125,10 @@ def _kl(x: Perm, w: Perm) -> Poly:
         sx = multiply(s, x)
         if length(sx) > length(x):
             # left-descent invariance: P_{x,w} = P_{sx,w}
-            result = _kl(sx, w)
+            result = _kl(sx, w, cap)
         else:
             v = multiply(s, w)  # shorter by one
-            result = poly_add(_kl(sx, v), poly_shift(_kl(x, v), 1))
+            result = poly_add(_kl(sx, v, cap), poly_shift(_kl(x, v, cap), 1))
             lw = length(w)
             for z in bruhat_downset(v):
                 lz = length(z)
@@ -133,16 +138,17 @@ def _kl(x: Perm, w: Perm) -> Poly:
                     continue
                 if not bruhat_leq(x, z):
                     continue
-                m = kl_mu(z, v)
+                m = kl_mu(z, v, cap=cap)
                 if m:
-                    result = poly_sub_scaled(result, _kl(x, z), m, (lw - lz) // 2)
+                    result = poly_sub_scaled(result, _kl(x, z, cap), m, (lw - lz) // 2)
     _kl_cache[key] = result
     return result
 
 
-def kl_mu(z: Perm, v: Perm) -> int:
+def kl_mu(z: Perm, v: Perm, *, cap: int | None = ...) -> int:
     """Coefficient of q^{(l(v)-l(z)-1)/2} in P_{z,v} (zero when the
-    degree difference is even or z is not strictly below v).
+    degree difference is even or z is not strictly below v).  ``cap``
+    is the KL memo cap, as in ``_kl``; the KL recursion passes its own.
 
     >>> kl_mu((1, 2, 3), (2, 1, 3))
     1
@@ -152,7 +158,7 @@ def kl_mu(z: Perm, v: Perm) -> int:
     d = length(v) - length(z)
     if d <= 0 or d % 2 == 0:
         return 0
-    p = _kl(z, v)
+    p = _kl(z, v, cap)
     target = (d - 1) // 2
     return p[target] if target < len(p) else 0
 

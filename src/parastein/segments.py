@@ -10,7 +10,6 @@ segment data, edge orientations attached to Weyl elements, and the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cosets import BlockSet
@@ -18,24 +17,25 @@ from .weyl_core import (
     DEFAULT_ENUM_BOUND,
     BoundExceededError,
     Perm,
+    _Frozen,
     enumerate_group,
     inverse,
     length,
 )
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(_Frozen):
     """A segment label: length in cuspidal copies plus a rational twist."""
 
-    block_length: int
-    twist: Fraction
+    __slots__ = ("block_length", "twist")
 
-    def __post_init__(self) -> None:
-        if self.block_length < 1:
+    def __init__(self, block_length: int, twist: Fraction) -> None:
+        if block_length < 1:
             raise ValueError("segment length must be positive")
-        if self.twist.denominator not in (1, 2):
+        if twist.denominator not in (1, 2):
             raise ValueError("twist denominator must be 1 or 2")
+        object.__setattr__(self, "block_length", block_length)
+        object.__setattr__(self, "twist", twist)
 
 
 def pi_base_twists(r: int, k: int) -> tuple[Fraction, ...]:

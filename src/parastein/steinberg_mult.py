@@ -19,7 +19,6 @@ bitmasks, block index i being bit i - 1.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .cosets import BlockSet
 from .kl_mult import _parabolic_verma_mult, kl_poly, poly_eval_one
@@ -27,6 +26,7 @@ from .weyl_core import (
     BoundExceededError,
     MultiWeyl,
     Perm,
+    _Frozen,
     enumerate_group,
     enumerate_parabolic,
     left_ascents,
@@ -39,11 +39,16 @@ from .weyl_core import (
 # Grothendieck-group plumbing
 
 
-@dataclass
 class GrothVector:
     """Finitely supported integer combination of opaque labels."""
 
-    coeffs: dict = field(default_factory=dict)
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: dict | None = None) -> None:
+        self.coeffs = {} if coeffs is None else coeffs
+
+    def __repr__(self) -> str:
+        return f"GrothVector(coeffs={self.coeffs!r})"
 
     def add(self, label, c: int = 1) -> "GrothVector":
         new = dict(self.coeffs)
@@ -207,13 +212,15 @@ def _oracle(w: MultiWeyl, J: BlockSet, S: BlockSet, memo: dict) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class ConstituentLabel:
+class ConstituentLabel(_Frozen):
     """Label (w, J) of a constituent of the module attached to S."""
 
-    w: MultiWeyl
-    J: BlockSet
-    S: BlockSet
+    __slots__ = ("w", "J", "S")
+
+    def __init__(self, w: MultiWeyl, J: BlockSet, S: BlockSet) -> None:
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "J", J)
+        object.__setattr__(self, "S", S)
 
 
 def _admissible_labels(

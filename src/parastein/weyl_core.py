@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import attrgetter
 
 Perm = tuple[int, ...]
 MultiWeyl = tuple[Perm, ...]
@@ -24,6 +25,37 @@ DEFAULT_ENUM_BOUND = 9
 
 class BoundExceededError(RuntimeError):
     """A computation exceeded a configured resource bound."""
+
+
+class _Frozen:
+    """Base of the package's immutable ``__slots__`` records: equality
+    within one class, hashing and repr by field in ``__slots__`` order,
+    and ``AttributeError`` on assignment.  A subclass's ``__init__`` sets
+    each field once with ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._key = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def identity(n: int) -> Perm:

@@ -7,6 +7,7 @@ import pytest
 
 from parastein import cli_io
 from parastein.cli_io import main
+from parastein.kl_mult import kl_cache_clear
 
 
 def run(capsys, *argv):
@@ -301,19 +302,51 @@ def test_on_flags_reach_the_handler(capsys):
     assert code == 0 and fixed["status"] == "not-determined"
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["weyl", "--help"]])
+@pytest.mark.parametrize("argv", [["--help"]] + [[verb, "--help"] for verb in cli_io.VERBS])
 def test_help_returns_0(capsys, argv):
     assert main(argv) == 0
-    assert "--help" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "--help" in out
+    if argv[0] in cli_io.VERBS:
+        assert out.startswith(f"usage: parastein {argv[0]} [--help]")
+    else:
+        assert "{" + ",".join(cli_io.VERBS) + "}" in out
+
+
+def test_option_of_another_verb_exit_2(capsys):
+    # Only jh's subparser is built for a jh call; --n belongs to weyl.
+    code, doc = run(capsys, "jh", "--r", "2", "--k", "2", "--n", "4")
+    assert code == 2 and doc == {"error": "unrecognized arguments: --n 4"}
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    # The console script and ``python -m`` call main() with no argv; the
+    # parser must still see the verb to build its subparser alone.
+    seen = []
+    build = cli_io._parser
+    monkeypatch.setattr(cli_io, "_parser", lambda argv: seen.append(argv) or build(argv))
+    monkeypatch.setattr(sys, "argv", ["parastein", "jh", "--r", "2", "--k", "2"])
+    code = main()
+    assert code == 0 and json.loads(capsys.readouterr().out)["count"] == 2
+    assert seen == [["jh", "--r", "2", "--k", "2"]]
+
+
+def test_kl_cache_cap_exit_3(capsys, monkeypatch):
+    monkeypatch.setenv("PARASTEIN_KL_CACHE_CAP", "10")
+    kl_cache_clear()
+    code, doc = run(capsys, "kl", "--n", "5", "--x", "e", "--w", "[5,4,3,2,1]")
+    assert code == 3 and list(doc) == ["error"]
 
 
 def test_cli_imports_every_module_and_not_click():
     # perfbench/tracing.py finds each traced module in sys.modules after
-    # importing cli_io, and click is no longer a dependency.
+    # importing cli_io; click is no longer a dependency, and dataclasses
+    # (which imports inspect) would cost every CLI process about 12 ms.
     src = os.path.dirname(os.path.dirname(cli_io.__file__))
     code = (
         "import parastein.cli_io, sys; "
-        "assert 'click' not in sys.modules, 'click imported'; "
+        "slow = [m for m in ('click', 'dataclasses', 'inspect') if m in sys.modules]; "
+        "assert not slow, slow; "
         "mods = ['weyl_core', 'cosets', 'kl_mult', 'steinberg_mult', 'segments', 'ext_calc']; "
         "missing = [m for m in mods if 'parastein.' + m not in sys.modules]; "
         "assert not missing, missing"

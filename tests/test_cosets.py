@@ -39,6 +39,10 @@ def test_blockset_validation():
         BlockSet(2, 2, frozenset({2}))
     with pytest.raises(ValueError):
         BlockSet(0, 2)
+    with pytest.raises(ValueError):
+        BlockSet(2, 0)
+    with pytest.raises(ValueError):
+        BlockSet(1, 4, frozenset({0}))
 
 
 def test_parse_format():

@@ -2,8 +2,11 @@ import itertools
 
 import pytest
 
+from parastein import kl_mult
 from parastein.cosets import BlockSet
 from parastein.kl_mult import (
+    kl_cache_clear,
+    kl_cache_size,
     kl_mu,
     kl_poly,
     parabolic_verma_mult,
@@ -11,6 +14,7 @@ from parastein.kl_mult import (
     verma_mult,
 )
 from parastein.weyl_core import (
+    BoundExceededError,
     bruhat_leq,
     enumerate_group,
     identity,
@@ -153,3 +157,37 @@ def test_parabolic_verma_full_parabolic_is_simple_indicator():
     values = {w: parabolic_verma_mult(K, (w,)) for w in enumerate_group(3)}
     assert values[identity(3)] == 1
     assert sum(map(abs, values.values())) == 1
+
+
+W0_5 = (5, 4, 3, 2, 1)
+
+
+def test_kl_cache_cap_bounds_the_memo(monkeypatch):
+    monkeypatch.setenv("PARASTEIN_KL_CACHE_CAP", "10")
+    kl_cache_clear()
+    with pytest.raises(BoundExceededError, match="cap of 10"):
+        kl_poly(identity(5), W0_5)
+    with pytest.raises(BoundExceededError):
+        kl_mu(identity(5), (4, 5, 3, 2, 1))
+
+
+def test_kl_cache_unset_cap_means_no_cap(monkeypatch):
+    monkeypatch.delenv("PARASTEIN_KL_CACHE_CAP", raising=False)
+    kl_cache_clear()
+    assert kl_poly(identity(5), W0_5) == (1,)
+    assert kl_cache_size() > 10
+
+
+def test_kl_cache_cap_read_at_most_once_per_public_call(monkeypatch):
+    reads = []
+    real = kl_mult._cache_cap
+    monkeypatch.setattr(kl_mult, "_cache_cap", lambda: reads.append(1) or real())
+    kl_cache_clear()
+    kl_poly(identity(5), W0_5)
+    assert len(reads) == 1
+    kl_mu(identity(5), (4, 5, 3, 2, 1))
+    assert len(reads) == 2
+    # Memo hits read nothing.
+    kl_poly(identity(5), W0_5)
+    kl_mu(identity(5), (4, 5, 3, 2, 1))
+    assert len(reads) == 2

@@ -37,10 +37,7 @@ class RepDescriptor(_Frozen):
         index: int | None = None,
         sigma: int | None = None,
     ) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "sigma", sigma)
+        super().__init__(kind, blocks, index, sigma)
 
 
 class ExtQuery(_Frozen):
@@ -57,14 +54,7 @@ class ExtQuery(_Frozen):
         k: int,
         d_L: int,
     ) -> None:
-        object.__setattr__(self, "flavor", flavor)
-        object.__setattr__(self, "fixed_center", fixed_center)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "d_L", d_L)
+        super().__init__(flavor, fixed_center, degree, left, right, r, k, d_L)
 
 
 class ExtAnswer(_Frozen):
@@ -77,10 +67,7 @@ class ExtAnswer(_Frozen):
         rule: str,
         note: str = "",
     ) -> None:
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "note", note)
+        super().__init__(status, dim, rule, note)
 
     @property
     def value(self) -> int | None:

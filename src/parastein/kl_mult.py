@@ -103,7 +103,8 @@ def _kl(x: Perm, w: Perm, cap: int | None = ...) -> Poly:
     """P_{x,w} through the memo table, which may hold at most ``cap``
     entries (None: no cap).  By default the cap is read from
     PARASTEIN_KL_CACHE_CAP at the first memo miss, and the recursion
-    passes the value down, so a public call reads it at most once."""
+    passes the value down, so each ``kl_poly`` or ``kl_mu`` call (the
+    recursion's own ``kl_mu`` calls included) reads it at most once."""
     key = (x, w)
     cached = _kl_cache.get(key)
     if cached is not None:
@@ -138,17 +139,16 @@ def _kl(x: Perm, w: Perm, cap: int | None = ...) -> Poly:
                     continue
                 if not bruhat_leq(x, z):
                     continue
-                m = kl_mu(z, v, cap=cap)
+                m = kl_mu(z, v)
                 if m:
                     result = poly_sub_scaled(result, _kl(x, z, cap), m, (lw - lz) // 2)
     _kl_cache[key] = result
     return result
 
 
-def kl_mu(z: Perm, v: Perm, *, cap: int | None = ...) -> int:
+def kl_mu(z: Perm, v: Perm) -> int:
     """Coefficient of q^{(l(v)-l(z)-1)/2} in P_{z,v} (zero when the
-    degree difference is even or z is not strictly below v).  ``cap``
-    is the KL memo cap, as in ``_kl``; the KL recursion passes its own.
+    degree difference is even or z is not strictly below v).
 
     >>> kl_mu((1, 2, 3), (2, 1, 3))
     1
@@ -158,7 +158,7 @@ def kl_mu(z: Perm, v: Perm, *, cap: int | None = ...) -> int:
     d = length(v) - length(z)
     if d <= 0 or d % 2 == 0:
         return 0
-    p = _kl(z, v, cap)
+    p = _kl(z, v)
     target = (d - 1) // 2
     return p[target] if target < len(p) else 0
 

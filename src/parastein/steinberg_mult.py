@@ -50,6 +50,9 @@ class GrothVector:
     def __repr__(self) -> str:
         return f"GrothVector(coeffs={self.coeffs!r})"
 
+    def __reduce__(self) -> tuple:
+        return GrothVector, (self.coeffs,)
+
     def add(self, label, c: int = 1) -> "GrothVector":
         new = dict(self.coeffs)
         new[label] = new.get(label, 0) + c

@@ -30,14 +30,24 @@ class BoundExceededError(RuntimeError):
 class _Frozen:
     """Base of the package's immutable ``__slots__`` records: equality
     within one class, hashing and repr by field in ``__slots__`` order,
-    and ``AttributeError`` on assignment.  A subclass's ``__init__`` sets
-    each field once with ``object.__setattr__``."""
+    ``AttributeError`` on assignment, and copying and pickling by
+    calling the class with the fields in that order.  A subclass's
+    ``__init__`` takes its fields in ``__slots__`` order; records built
+    in hot loops set each field with ``object.__setattr__`` instead of
+    going through the base ``__init__``."""
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
         cls._key = attrgetter(*cls.__slots__)
+
+    def __init__(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

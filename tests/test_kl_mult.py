@@ -179,15 +179,21 @@ def test_kl_cache_unset_cap_means_no_cap(monkeypatch):
 
 
 def test_kl_cache_cap_read_at_most_once_per_public_call(monkeypatch):
-    reads = []
-    real = kl_mult._cache_cap
-    monkeypatch.setattr(kl_mult, "_cache_cap", lambda: reads.append(1) or real())
+    # The recursion's own kl_mu calls are public calls too, so each of
+    # them may read the cap once more, but a miss alone does not.
+    reads, mu_calls = [], []
+    real_cap, real_mu = kl_mult._cache_cap, kl_mult.kl_mu
+    monkeypatch.setattr(kl_mult, "_cache_cap", lambda: reads.append(1) or real_cap())
+    monkeypatch.setattr(kl_mult, "kl_mu", lambda z, v: mu_calls.append(1) or real_mu(z, v))
     kl_cache_clear()
     kl_poly(identity(5), W0_5)
-    assert len(reads) == 1
-    kl_mu(identity(5), (4, 5, 3, 2, 1))
-    assert len(reads) == 2
+    assert 1 <= len(reads) <= 1 + len(mu_calls)
+    assert len(reads) < kl_cache_size()
+    before, mu_before = len(reads), len(mu_calls)
+    kl_mult.kl_mu(identity(5), (4, 5, 3, 2, 1))
+    assert before < len(reads) <= before + len(mu_calls) - mu_before
     # Memo hits read nothing.
+    before = len(reads)
     kl_poly(identity(5), W0_5)
-    kl_mu(identity(5), (4, 5, 3, 2, 1))
-    assert len(reads) == 2
+    kl_mult.kl_mu(identity(5), (4, 5, 3, 2, 1))
+    assert len(reads) == before

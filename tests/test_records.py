@@ -1,8 +1,10 @@
 """Value semantics of the package's record classes: construction by
 position, by keyword and with defaults, equality and hashing by value
-within one class, and immutability.  The constructors' validation is
+within one class, immutability, and copying and pickling.  The constructors' validation is
 tested with each module (test_cosets.py, test_segments.py)."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -105,3 +107,16 @@ def test_groth_vector_equality():
     assert GrothVector({"a": 1}) != {"a": 1}
     with pytest.raises(TypeError):
         hash(v)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [cls(**fields) for cls, fields in RECORDS] + [GrothVector({"a": 1, "b": -2})],
+    ids=IDS + ["GrothVector"],
+)
+def test_copy_and_pickle_round_trip(record):
+    assert copy.copy(record) == record
+    assert copy.deepcopy(record) == record
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        restored = pickle.loads(pickle.dumps(record, protocol))
+        assert type(restored) is type(record) and restored == record

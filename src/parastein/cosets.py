@@ -17,6 +17,7 @@ from .weyl_core import (
     DEFAULT_ENUM_BOUND,
     Perm,
     _Frozen,
+    blocks_of_rootset,
     enumerate_group,
     inverse,
     length,
@@ -112,24 +113,6 @@ def format_blockset(bs: BlockSet) -> str:
     if not bs.members:
         return "-"
     return ",".join(str(i) for i in sorted(bs.members))
-
-
-def blocks_of_rootset(n: int, roots: frozenset[int] | set[int]) -> list[tuple[int, ...]]:
-    """Contiguous position blocks {1..n} cut at every i not in roots.
-
-    >>> blocks_of_rootset(4, {1, 3})
-    [(1, 2), (3, 4)]
-    >>> blocks_of_rootset(4, {2})
-    [(1,), (2, 3), (4,)]
-    """
-    blocks: list[tuple[int, ...]] = []
-    start = 1
-    for i in range(1, n):
-        if i not in roots:
-            blocks.append(tuple(range(start, i + 1)))
-            start = i + 1
-    blocks.append(tuple(range(start, n + 1)))
-    return blocks
 
 
 def is_min_rep(w: Perm, I_roots: frozenset[int] | set[int], J_roots: frozenset[int] | set[int]) -> bool:

@@ -104,17 +104,15 @@ def _kl(x: Perm, w: Perm, cap: int | None = ...) -> Poly:
     entries (None: no cap).  By default the cap is read from
     PARASTEIN_KL_CACHE_CAP at the first memo miss, and the recursion
     passes the value down, so each ``kl_poly`` or ``kl_mu`` call (the
-    recursion's own ``kl_mu`` calls included) reads it at most once."""
+    recursion's own ``kl_mu`` calls included) reads it at most once.
+    The cap is checked where an entry is inserted, so frames that
+    recursed before the memo filled cannot push it past the cap."""
     key = (x, w)
     cached = _kl_cache.get(key)
     if cached is not None:
         return cached
     if cap is ...:
         cap = _cache_cap()
-    if cap is not None and len(_kl_cache) >= cap:
-        raise BoundExceededError(
-            f"KL memo table exceeded the configured cap of {cap} entries"
-        )
     if x == w:
         result: Poly = ONE
     elif not bruhat_leq(x, w):
@@ -142,6 +140,10 @@ def _kl(x: Perm, w: Perm, cap: int | None = ...) -> Poly:
                 m = kl_mu(z, v)
                 if m:
                     result = poly_sub_scaled(result, _kl(x, z, cap), m, (lw - lz) // 2)
+    if cap is not None and len(_kl_cache) >= cap:
+        raise BoundExceededError(
+            f"KL memo table exceeded the configured cap of {cap} entries"
+        )
     _kl_cache[key] = result
     return result
 

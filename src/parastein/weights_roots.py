@@ -9,7 +9,7 @@ integers.
 
 from __future__ import annotations
 
-from .weyl_core import MultiWeyl, Perm, inverse, mw_ascent_intersection
+from .weyl_core import MultiWeyl, inverse
 
 Weight = tuple[tuple[int, ...], ...]
 
@@ -92,15 +92,11 @@ def dominance_set(w: MultiWeyl, lam: Weight) -> frozenset[int]:
     if not is_I_dominant(lam, set(range(1, n))):
         raise ValueError("dominance_set requires a dominant weight")
     moved = dot_action(w, lam)
-    out = frozenset(
+    return frozenset(
         i
         for i in range(1, n)
         if all(row[i - 1] >= row[i] for row in moved)
     )
-    expected = mw_ascent_intersection(w)
-    if out != expected:  # pragma: no cover - internal consistency
-        raise RuntimeError("dominance set disagrees with ascent intersection")
-    return out
 
 
 if __name__ == "__main__":

@@ -7,15 +7,14 @@ this convention the product ``s2*s1*s3*s2`` in S_4 has one-line form
 ``(3, 4, 1, 2)``.
 
 Multi-component elements (used when several field embeddings are in play)
-are tuples of ``d_L`` permutations of the same rank, handled by the
-``mw_*`` helpers.
+are tuples of ``d_L`` permutations of the same rank.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from operator import attrgetter
+from operator import attrgetter, le
 
 Perm = tuple[int, ...]
 MultiWeyl = tuple[Perm, ...]
@@ -202,8 +201,27 @@ def support(w: Perm) -> frozenset[int]:
     return frozenset(reduced_word(w))
 
 
+def blocks_of_rootset(n: int, roots: frozenset[int] | set[int]) -> list[tuple[int, ...]]:
+    """Contiguous position blocks {1..n} cut at every i not in roots.
+
+    >>> blocks_of_rootset(4, {1, 3})
+    [(1, 2), (3, 4)]
+    >>> blocks_of_rootset(4, {2})
+    [(1,), (2, 3), (4,)]
+    """
+    blocks: list[tuple[int, ...]] = []
+    start = 1
+    for i in range(1, n):
+        if i not in roots:
+            blocks.append(tuple(range(start, i + 1)))
+            start = i + 1
+    blocks.append(tuple(range(start, n + 1)))
+    return blocks
+
+
 def longest_element(n: int, roots: frozenset[int] | set[int]) -> Perm:
-    """Longest element of the parabolic subgroup generated by {s_i : i in roots}.
+    """Longest element of the parabolic subgroup generated by {s_i : i in roots}:
+    each block of ``blocks_of_rootset`` reversed.
 
     >>> longest_element(4, set())
     (1, 2, 3, 4)
@@ -212,15 +230,7 @@ def longest_element(n: int, roots: frozenset[int] | set[int]) -> Perm:
     >>> longest_element(4, {1, 3})
     (2, 1, 4, 3)
     """
-    w = list(range(1, n + 1))
-    start = 0
-    while start < n:
-        stop = start
-        while stop + 1 < n and (stop + 1) in roots:
-            stop += 1
-        w[start : stop + 1] = reversed(w[start : stop + 1])
-        start = stop + 1
-    return tuple(w)
+    return tuple(p for block in blocks_of_rootset(n, roots) for p in reversed(block))
 
 
 def enumerate_group(n: int, bound: int = DEFAULT_ENUM_BOUND) -> list[Perm]:
@@ -238,24 +248,14 @@ def enumerate_group(n: int, bound: int = DEFAULT_ENUM_BOUND) -> list[Perm]:
 
 @lru_cache(maxsize=None)
 def _parabolic_cached(n: int, roots: frozenset[int], bound: int) -> tuple[Perm, ...]:
-    members = []
-    for w in enumerate_group(n, bound):
-        # w lies in the parabolic iff it permutes each contiguous block,
-        # equivalently support(w) is contained in the generating set.
-        ok = True
-        start = 0
-        while start < n:
-            stop = start
-            while stop + 1 < n and (stop + 1) in roots:
-                stop += 1
-            block = set(range(start + 1, stop + 2))
-            if {w[p - 1] for p in block} != block:
-                ok = False
-                break
-            start = stop + 1
-        if ok:
-            members.append(w)
-    return tuple(members)
+    # The parabolic permutes each block independently; the product of the
+    # per-block lexicographic orders is lexicographic on the whole.
+    if n > bound:
+        raise BoundExceededError(f"rank {n} exceeds enumeration bound {bound}")
+    per_block = [itertools.permutations(b) for b in blocks_of_rootset(n, roots)]
+    return tuple(
+        tuple(itertools.chain.from_iterable(parts)) for parts in itertools.product(*per_block)
+    )
 
 
 def enumerate_parabolic(
@@ -275,7 +275,8 @@ def enumerate_parabolic(
 @lru_cache(maxsize=None)
 def bruhat_downset(w: Perm) -> frozenset[Perm]:
     """{x : x <= w in Bruhat order}, via the subword property applied to one
-    fixed reduced word of w.
+    fixed reduced word of w.  The KL recursion walks it; ``bruhat_leq``
+    decides single pairs without it.
 
     >>> sorted(length(x) for x in bruhat_downset((2, 1, 4, 3)))
     [0, 1, 1, 2]
@@ -289,28 +290,21 @@ def bruhat_downset(w: Perm) -> frozenset[Perm]:
 
 
 @lru_cache(maxsize=None)
-def _rank_table(w: Perm) -> tuple[tuple[int, ...], ...]:
-    # table[i][j] = #{a <= i : w(a) >= j}, 1-based i, j.
-    n = len(w)
-    table = []
-    row = [0] * (n + 1)
-    for i in range(1, n + 1):
-        row = list(row)
-        for j in range(1, n + 1):
-            row[j] += 1 if w[i - 1] >= j else 0
-        table.append(tuple(row))
+def _rank_table(w: Perm) -> tuple[int, ...]:
+    # #{a <= i : w(a) >= j} for 1 <= i, j <= n, flattened row by row.
+    row = [0] * len(w)
+    table: list[int] = []
+    for wi in w:
+        for j in range(wi):
+            row[j] += 1
+        table += row
     return tuple(table)
 
 
-def _rank_matrix_leq(x: Perm, w: Perm) -> bool:
-    tx, tw = _rank_table(x), _rank_table(w)
-    n = len(x)
-    return all(tx[i][j] <= tw[i][j] for i in range(n) for j in range(1, n + 1))
-
-
 def bruhat_leq(x: Perm, w: Perm) -> bool:
-    """Bruhat order test, computed two independent ways (subword down-set
-    and the rank-matrix dominance criterion) which must agree.
+    """Bruhat order test by the rank-matrix criterion: x <= w iff
+    #{a <= i : x(a) >= j} <= #{a <= i : w(a) >= j} for all i, j
+    (Björner-Brenti, Thm 2.1.5).
 
     >>> bruhat_leq((1, 2, 3, 4), (3, 4, 1, 2))
     True
@@ -321,28 +315,7 @@ def bruhat_leq(x: Perm, w: Perm) -> bool:
     """
     if len(x) != len(w):
         raise ValueError("rank mismatch in bruhat_leq")
-    by_subword = x in bruhat_downset(w)
-    by_rank = _rank_matrix_leq(x, w)
-    if by_subword != by_rank:  # pragma: no cover - internal consistency
-        raise RuntimeError(f"Bruhat criteria disagree on {x} <= {w}")
-    return by_subword
-
-
-# ---------------------------------------------------------------------------
-# Multi-component elements
-
-
-def mw_ascent_intersection(w: MultiWeyl) -> frozenset[int]:
-    """Intersection over components of the left-ascent sets; this is the
-    maximal joint dominance set.
-
-    >>> sorted(mw_ascent_intersection(((1, 3, 2, 4), (1, 2, 3, 4))))
-    [1, 3]
-    """
-    out = frozenset(range(1, len(w[0])))
-    for c in w:
-        out &= left_ascents(c)
-    return out
+    return all(map(le, _rank_table(x), _rank_table(w)))
 
 
 # ---------------------------------------------------------------------------

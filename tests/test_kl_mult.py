@@ -167,8 +167,11 @@ def test_kl_cache_cap_bounds_the_memo(monkeypatch):
     kl_cache_clear()
     with pytest.raises(BoundExceededError, match="cap of 10"):
         kl_poly(identity(5), W0_5)
+    # The memo fills up to the cap and no further.
+    assert kl_cache_size() == 10
     with pytest.raises(BoundExceededError):
         kl_mu(identity(5), (4, 5, 3, 2, 1))
+    assert kl_cache_size() == 10
 
 
 def test_kl_cache_unset_cap_means_no_cap(monkeypatch):

@@ -1,7 +1,11 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from parastein.cosets import BlockSet
+from parastein.steinberg_mult import _admissible_labels
 from parastein.weights_roots import (
     dominance_set,
     dot_action,
@@ -15,7 +19,6 @@ from parastein.weyl_core import (
     inverse,
     left_ascents,
     multiply,
-    mw_ascent_intersection,
 )
 
 
@@ -76,9 +79,7 @@ def test_dominance_set_equals_ascent_intersection_s4():
         assert dominance_set((w,), lam_sing) == left_ascents(w)
     for u in group[::5]:
         for v in group[::7]:
-            assert dominance_set((u, v), zero_weight(4, 2)) == mw_ascent_intersection(
-                (u, v)
-            )
+            assert dominance_set((u, v), zero_weight(4, 2)) == left_ascents(u) & left_ascents(v)
 
 
 def test_dominance_orientation_dictionary():
@@ -89,3 +90,21 @@ def test_dominance_orientation_dictionary():
         moved = dot_action((w,), lam)
         for i in range(1, 4):
             assert is_I_dominant(moved, {i}) == (i in left_ascents(w))
+
+
+@pytest.mark.parametrize("r,k,d_L", [(1, 4, 1), (2, 2, 1), (4, 1, 1), (2, 2, 2)])
+def test_admissible_labels_keep_the_dominant_representatives(r, k, d_L):
+    # The ascent filter of the constituent enumeration keeps exactly the
+    # tuples whose shifted zero weight is dominant for the inner roots plus S.
+    n = r * k
+    group = enumerate_group(n)
+    for size in range(k):
+        for members in itertools.combinations(range(1, k), size):
+            S = BlockSet(r, k, frozenset(members))
+            roots = S.inner_roots() | S.roots()
+            expected = {
+                w
+                for w in itertools.product(group, repeat=d_L)
+                if is_I_dominant(dot_action(w, zero_weight(n, d_L)), roots)
+            }
+            assert {w for w, _ in _admissible_labels(S, d_L, None)} == expected

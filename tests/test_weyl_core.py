@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parastein import cosets
 from parastein.weyl_core import (
     BoundExceededError,
+    blocks_of_rootset,
     bruhat_downset,
     bruhat_leq,
     enumerate_group,
@@ -118,6 +120,22 @@ def test_bruhat_partial_order_s4():
             assert bruhat_downset(x) <= bruhat_downset(w)
 
 
+def test_bruhat_leq_matches_downset_oracle_s5():
+    group = enumerate_group(5)
+    for w in group:
+        down = bruhat_downset(w)
+        for x in group:
+            assert bruhat_leq(x, w) == (x in down)
+
+
+def test_bruhat_leq_matches_downset_oracle_s6_sample():
+    group = enumerate_group(6)
+    for w in group[::11] + [group[-1]]:
+        down = bruhat_downset(w)
+        for x in group[::7]:
+            assert bruhat_leq(x, w) == (x in down)
+
+
 def test_support_examples():
     assert support(identity(4)) == frozenset()
     assert support(simple_reflection(2, 4)) == frozenset({2})
@@ -131,6 +149,26 @@ def test_longest_element():
     w0 = longest_element(5, {1, 2, 4})
     assert length(w0) == 3 + 1
     assert support(w0) <= {1, 2, 4}
+
+
+def root_sets(n):
+    return [
+        frozenset(i for i in range(1, n) if mask >> (i - 1) & 1) for mask in range(1 << (n - 1))
+    ]
+
+
+def test_longest_element_is_the_longest_parabolic_element():
+    for n in range(1, 6):
+        for roots in root_sets(n):
+            members = enumerate_parabolic(n, roots)
+            top = max(length(w) for w in members)
+            assert [w for w in members if length(w) == top] == [longest_element(n, roots)]
+
+
+def test_blocks_of_rootset_is_shared_with_cosets():
+    assert cosets.blocks_of_rootset is blocks_of_rootset
+    assert blocks_of_rootset(1, set()) == [(1,)]
+    assert blocks_of_rootset(5, {1, 2, 4}) == [(1, 2, 3), (4, 5)]
 
 
 def test_enumerate_group():
@@ -172,3 +210,42 @@ def test_parse_format_roundtrip():
         parse_perm("[1,1,2]")
     with pytest.raises(ValueError):
         parse_perm("s1*s2")
+
+
+def filtered_parabolic(n, roots):
+    """Reference: the elements of S_n that permute each contiguous block
+    of positions cut at the simple roots outside ``roots``."""
+    members = []
+    for w in enumerate_group(n):
+        ok = True
+        start = 0
+        while start < n:
+            stop = start
+            while stop + 1 < n and (stop + 1) in roots:
+                stop += 1
+            block = set(range(start + 1, stop + 2))
+            if {w[p - 1] for p in block} != block:
+                ok = False
+                break
+            start = stop + 1
+        if ok:
+            members.append(w)
+    return members
+
+
+def test_enumerate_parabolic_matches_group_filter():
+    for n in range(1, 7):
+        for roots in root_sets(n):
+            members = enumerate_parabolic(n, roots)
+            assert members == filtered_parabolic(n, roots)
+            assert all(support(w) <= roots for w in members)
+
+
+def test_enumerate_parabolic_bound():
+    with pytest.raises(BoundExceededError):
+        enumerate_parabolic(10, set())
+    with pytest.raises(BoundExceededError):
+        enumerate_parabolic(10, frozenset(range(1, 10)))
+    with pytest.raises(BoundExceededError):
+        enumerate_parabolic(4, {1}, bound=3)
+    assert len(enumerate_parabolic(4, {1}, bound=4)) == 2

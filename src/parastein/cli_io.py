@@ -35,7 +35,6 @@ from .cosets import (
 from .weyl_core import (
     BoundExceededError,
     MultiWeyl,
-    Perm,
     bruhat_leq,
     enumerate_group,
     format_perm,
@@ -44,7 +43,6 @@ from .weyl_core import (
     left_descents,
     length,
     parse_perm,
-    reduced_word,
     right_descents,
     support,
 )

@@ -10,9 +10,6 @@ all live here.
 
 from __future__ import annotations
 
-import itertools
-from functools import lru_cache
-
 from .weyl_core import (
     DEFAULT_ENUM_BOUND,
     Perm,
@@ -78,14 +75,7 @@ class BlockSet(_Frozen):
         >>> BlockSet(1, 5, frozenset({2, 3})).partition()
         (1, 3, 1)
         """
-        parts = []
-        start = 0
-        for i in range(1, self.k):
-            if i not in self.members:
-                parts.append(i - start)
-                start = i
-        parts.append(self.k - start)
-        return tuple(parts)
+        return tuple(len(b) for b in blocks_of_rootset(self.k, self.members))
 
 
 def parse_blockset(text: str, r: int, k: int) -> BlockSet:
@@ -257,7 +247,6 @@ def modulus_exponents(I: BlockSet) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def matrix_count(row_sums: tuple[int, ...], col_sums: tuple[int, ...]) -> int:
     """Number of nonnegative integer matrices with the given row and
     column sums (brute-force oracle for coset counts).
@@ -267,17 +256,18 @@ def matrix_count(row_sums: tuple[int, ...], col_sums: tuple[int, ...]) -> int:
     >>> matrix_count((1, 1, 1), (1, 1, 1))
     6
     """
-    if sum(row_sums) != sum(col_sums):
-        return 0
-    if not row_sums:
-        return 1 if all(c == 0 for c in col_sums) else 0
-    total = 0
-    first = row_sums[0]
-    caps = col_sums
-    for comp in _bounded_compositions(first, caps):
-        rest = tuple(c - e for c, e in zip(caps, comp))
-        total += matrix_count(row_sums[1:], rest)
-    return total
+    # Fill the rows in order, counting the ways to reach each state: the
+    # column sums still open, nonzero and sorted, as the count does not
+    # depend on the order of the columns.  The table lives for this call.
+    ways = {tuple(sorted(c for c in col_sums if c)): 1}
+    for total in row_sums:
+        filled: dict[tuple[int, ...], int] = {}
+        for caps, count in ways.items():
+            for comp in _bounded_compositions(total, caps):
+                rest = tuple(sorted(c - e for c, e in zip(caps, comp) if c != e))
+                filled[rest] = filled.get(rest, 0) + count
+        ways = filled
+    return ways.get((), 0)
 
 
 def _bounded_compositions(total: int, caps: tuple[int, ...]):

@@ -131,7 +131,7 @@ def _kl(x: Perm, w: Perm, cap: int | None = ...) -> Poly:
             lw = length(w)
             for z in bruhat_downset(v):
                 lz = length(z)
-                if (length(v) - lz) % 2 == 0:
+                if (lw - lz) % 2:  # l(v) - l(z) even, as l(v) = l(w) - 1
                     continue
                 if s_idx not in left_descents(z):
                     continue

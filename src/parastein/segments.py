@@ -10,6 +10,7 @@ segment data, edge orientations attached to Weyl elements, and the
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .cosets import BlockSet
@@ -19,8 +20,7 @@ from .weyl_core import (
     Perm,
     _Frozen,
     enumerate_group,
-    inverse,
-    length,
+    left_ascents,
 )
 
 
@@ -137,15 +137,7 @@ def theta_fiber(I: BlockSet, bound: int = DEFAULT_ENUM_BOUND) -> list[Perm]:
     >>> theta_fiber(BlockSet(1, 2, frozenset({1})))
     [(1, 2)]
     """
-    k = I.k
-    target = set(I.members)
-    out = []
-    for w in enumerate_group(k, bound):
-        winv = inverse(w)
-        asc = {i for i in range(1, k) if winv[i - 1] < winv[i]}
-        if asc == target:
-            out.append(w)
-    return out
+    return [w for w in enumerate_group(I.k, bound) if left_ascents(w) == I.members]
 
 
 def jh_factors(r: int, k: int) -> list[BlockSet]:
@@ -166,13 +158,13 @@ def jh_factors(r: int, k: int) -> list[BlockSet]:
     """
     if k > DEFAULT_ENUM_BOUND:
         raise BoundExceededError(f"k = {k} exceeds enumeration bound {DEFAULT_ENUM_BOUND}")
-    subsets = []
-    indices = list(range(1, k))
-    for mask in range(1 << len(indices)):
-        members = frozenset(indices[i] for i in range(len(indices)) if mask >> i & 1)
-        subsets.append(BlockSet(r, k, members))
-    subsets.sort(key=lambda bs: (len(bs.members), sorted(bs.members)))
-    return subsets
+    # combinations() yields each size's subsets in lexicographic order.
+    roots = range(1, k)
+    return [
+        BlockSet(r, k, frozenset(members))
+        for t in range(len(roots) + 1)
+        for members in itertools.combinations(roots, t)
+    ]
 
 
 if __name__ == "__main__":

@@ -155,7 +155,6 @@ def left_ascents(w: Perm) -> frozenset[int]:
     return frozenset(range(1, len(w))) - left_descents(w)
 
 
-@lru_cache(maxsize=None)
 def reduced_word(w: Perm) -> tuple[int, ...]:
     """One reduced word for w, as a tuple of simple-reflection indices
     multiplied left to right.
@@ -191,14 +190,19 @@ def from_word(n: int, word: tuple[int, ...]) -> Perm:
 
 
 def support(w: Perm) -> frozenset[int]:
-    """Set of simple-reflection indices occurring in any reduced word of w.
+    """Set of simple-reflection indices occurring in any reduced word of w:
+    the i with max(w(1), ..., w(i)) > i.  s_i is missing from the support
+    iff w lies in the parabolic subgroup of the other simple reflections
+    (Björner-Brenti, GTM 231), that is iff w maps {1..i} onto itself.
 
     >>> sorted(support((3, 4, 1, 2)))
     [1, 2, 3]
+    >>> sorted(support((2, 1, 4, 3)))
+    [1, 3]
     >>> support((1, 2, 3, 4))
     frozenset()
     """
-    return frozenset(reduced_word(w))
+    return frozenset(i for i, top in enumerate(itertools.accumulate(w, max), 1) if top > i)
 
 
 def blocks_of_rootset(n: int, roots: frozenset[int] | set[int]) -> list[tuple[int, ...]]:
@@ -246,30 +250,26 @@ def enumerate_group(n: int, bound: int = DEFAULT_ENUM_BOUND) -> list[Perm]:
     return [tuple(p) for p in itertools.permutations(range(1, n + 1))]
 
 
-@lru_cache(maxsize=None)
-def _parabolic_cached(n: int, roots: frozenset[int], bound: int) -> tuple[Perm, ...]:
-    # The parabolic permutes each block independently; the product of the
-    # per-block lexicographic orders is lexicographic on the whole.
-    if n > bound:
-        raise BoundExceededError(f"rank {n} exceeds enumeration bound {bound}")
-    per_block = [itertools.permutations(b) for b in blocks_of_rootset(n, roots)]
-    return tuple(
-        tuple(itertools.chain.from_iterable(parts)) for parts in itertools.product(*per_block)
-    )
-
-
 def enumerate_parabolic(
     n: int, roots: frozenset[int] | set[int], bound: int = DEFAULT_ENUM_BOUND
 ) -> list[Perm]:
     """All elements of the parabolic subgroup generated by {s_i : i in roots},
-    in lexicographic one-line order.
+    in lexicographic one-line order.  The parabolic permutes each block of
+    ``blocks_of_rootset`` independently, and the blocks are consecutive
+    runs of positions, so the product of the per-block lexicographic
+    orders is lexicographic on the whole.
 
     >>> enumerate_parabolic(3, {1})
     [(1, 2, 3), (2, 1, 3)]
     >>> len(enumerate_parabolic(4, {1, 3}))
     4
     """
-    return list(_parabolic_cached(n, frozenset(roots), bound))
+    if n > bound:
+        raise BoundExceededError(f"rank {n} exceeds enumeration bound {bound}")
+    per_block = [itertools.permutations(b) for b in blocks_of_rootset(n, roots)]
+    return [
+        tuple(itertools.chain.from_iterable(parts)) for parts in itertools.product(*per_block)
+    ]
 
 
 @lru_cache(maxsize=None)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from parastein.cosets import (
@@ -9,6 +11,7 @@ from parastein.cosets import (
     double_coset_count_oracle,
     format_blockset,
     is_in_W_IJ,
+    matrix_count,
     min_double_coset_reps,
     modulus_exponents,
     parse_blockset,
@@ -32,6 +35,46 @@ def test_partition_examples():
     assert BlockSet(2, 2).partition() == (1, 1)
     assert BlockSet(2, 2, frozenset({1})).partition() == (2,)
     assert BlockSet(1, 5, frozenset({2, 3})).partition() == (1, 3, 1)
+
+
+def gap_partition(bs):
+    """Reference: the block sizes read off the gaps of the members."""
+    parts = []
+    start = 0
+    for i in range(1, bs.k):
+        if i not in bs.members:
+            parts.append(i - start)
+            start = i
+    parts.append(bs.k - start)
+    return tuple(parts)
+
+
+def test_partition_matches_gap_loop():
+    for k in range(1, 9):
+        for bs in all_blocksets(1, k):
+            assert bs.partition() == gap_partition(bs)
+    assert BlockSet(3, 4, frozenset({2})).partition() == (1, 2, 1)
+
+
+def brute_matrix_count(rows, cols):
+    """Reference: try every matrix whose entries are at most their row's
+    and their column's sum."""
+    cells = [range(min(a, b) + 1) for a in rows for b in cols]
+    count = 0
+    for entries in itertools.product(*cells):
+        matrix = [entries[i * len(cols) : (i + 1) * len(cols)] for i in range(len(rows))]
+        row_sums = tuple(sum(row) for row in matrix)
+        col_sums = tuple(sum(row[j] for row in matrix) for j in range(len(cols)))
+        count += row_sums == rows and col_sums == cols
+    return count
+
+
+def test_matrix_count_matches_brute_force():
+    for r in range(3):
+        for c in range(4):
+            for rows in itertools.product(range(3), repeat=r):
+                for cols in itertools.product(range(3), repeat=c):
+                    assert matrix_count(rows, cols) == brute_matrix_count(rows, cols), (rows, cols)
 
 
 def test_blockset_validation():

@@ -20,6 +20,7 @@ from parastein.weyl_core import (
     BoundExceededError,
     enumerate_group,
     identity,
+    inverse,
     longest_element,
 )
 
@@ -102,6 +103,9 @@ def test_theta_fibers_partition():
             # the complementary blocks
             w_long = longest_element(k, frozenset(range(1, k)) - I.members)
             assert w_long in fiber
+            for w in fiber:
+                winv = inverse(w)
+                assert {i for i in range(1, k) if winv[i - 1] < winv[i]} == I.members
             seen.extend(fiber)
         assert sorted(seen) == sorted(enumerate_group(k))
 
@@ -111,6 +115,30 @@ def test_jh_factor_counts():
         factors = jh_factors(r, k)
         assert len(factors) == 2 ** (k - 1)
         assert len({f.members for f in factors}) == len(factors)
+
+
+def mask_sorted_jh_factors(r, k):
+    """Reference: every subset of {1..k-1} by bitmask, sorted by
+    (size, members)."""
+    subsets = []
+    indices = list(range(1, k))
+    for mask in range(1 << len(indices)):
+        members = frozenset(indices[i] for i in range(len(indices)) if mask >> i & 1)
+        subsets.append(BlockSet(r, k, members))
+    subsets.sort(key=lambda bs: (len(bs.members), sorted(bs.members)))
+    return subsets
+
+
+def test_jh_factors_match_mask_and_sort():
+    for k in range(1, DEFAULT_ENUM_BOUND + 1):
+        for r in (1, 2):
+            assert jh_factors(r, k) == mask_sorted_jh_factors(r, k)
+
+
+def test_jh_factors_reject_empty_shapes():
+    for r, k in ((1, 0), (1, -1), (0, 2)):
+        with pytest.raises(ValueError):
+            jh_factors(r, k)
 
 
 def test_jh_factors_bounded_before_enumerating():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parastein import cosets
+from parastein import cosets, weyl_core
 from parastein.weyl_core import (
     BoundExceededError,
     blocks_of_rootset,
@@ -140,6 +140,21 @@ def test_support_examples():
     assert support(identity(4)) == frozenset()
     assert support(simple_reflection(2, 4)) == frozenset({2})
     assert support((3, 4, 1, 2)) == frozenset({1, 2, 3})
+
+
+def test_support_matches_reduced_word_letters():
+    # Oracle: the letters of one reduced word are the support.
+    for n in range(1, 8):
+        for w in enumerate_group(n):
+            assert support(w) == frozenset(reduced_word(w))
+
+
+def test_support_does_not_use_reduced_words(monkeypatch):
+    def refuse(w):
+        raise AssertionError("support called reduced_word")
+
+    monkeypatch.setattr(weyl_core, "reduced_word", refuse)
+    assert support((2, 1, 4, 3)) == frozenset({1, 3})
 
 
 def test_longest_element():

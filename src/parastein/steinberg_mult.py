@@ -9,11 +9,12 @@ Within one ``analytic_tits_euler_check`` call each route keeps its own
 memo dict, so a value is computed once per call but never passed from
 one route to the other, and the check stays independent.
 
-``GrothVector`` is a finitely supported integer-valued function on
-opaque labels.  The Euler-characteristic checks for the smooth and
-analytic Tits complexes are carried out in the Grothendieck group; the
-smooth check and ``check_complex_squares_zero`` label block sets by int
-bitmasks, block index i being bit i - 1.
+The formula, the smooth Euler check and ``check_complex_squares_zero``
+label block sets by int bitmasks, block index i being bit i - 1, and
+keep their Grothendieck-group sums in dicts keyed by those masks.  The
+analytic check compares the two routes' integers label by label.
+``GrothVector``, a finitely supported integer-valued function on opaque
+labels, is kept for callers; no check uses it.
 """
 
 from __future__ import annotations
@@ -117,14 +118,28 @@ def steinberg_multiplicity(w: MultiWeyl, J: BlockSet, S: BlockSet) -> int:
 
     The sum runs over w' = (u_1, ..., u_{d_L}) with one u_i per
     embedding, and m(w', w) is the product of the P_{u_i, w_i}(1).  It is
-    not multiplied out.  The outer support of w' is the union of the
-    outer supports of the u_i, and the parity of l(w') is the xor of
-    their parities.  The filter reads only that union, and the sign only
-    the union and the parity.  So each component is summed into a table
-    keyed by (outer support, parity), and the d_L tables are folded with
-    union and xor, multiplying the values.  The folded table gives the
-    same integer as the d_L-fold product sum, at a cost linear in d_L
-    with at most 2^(|J|+1) keys per table.
+    not multiplied out.  Outer supports are block bitmasks, block i being
+    bit i - 1.  The outer support of w' is the OR of those of the u_i,
+    and (-1)^{l(w')} is the product of the (-1)^{l(u_i)}.  So each
+    component is summed into a signed table {outer mask: sum of
+    (-1)^{l(u)} P_{u,w_i}(1)}, and the d_L tables are folded by an
+    OR-convolution into G(O), the signed sum over the w' of outer
+    support O.  Since S lies in J, an O between J minus S and J is
+    (J minus S) | T with T a submask of S, and then |O minus S| =
+    |J minus S|, so
+
+        m(w, J, S) = (-1)^{|J minus S|} * sum over T in S of G((J minus S) | T),
+
+    a single lookup for S empty.
+
+    The fold over a larger J' gives G(O) exactly for every O inside J:
+    the u of the parabolic on the inner roots plus J are the u of the
+    one on the inner roots plus J' whose outer support lies in J, and an
+    OR of masks lies in J exactly when each mask does.  So
+    ``enumerate_constituents`` and ``analytic_tits_euler_check`` fold
+    each w once, over J_top = S plus the ascent blocks of w, and read
+    every label (w, J) off that fold.  This function folds over its own
+    J.
 
     >>> from .cosets import BlockSet
     >>> empty = BlockSet(2, 2)
@@ -137,53 +152,72 @@ def steinberg_multiplicity(w: MultiWeyl, J: BlockSet, S: BlockSet) -> int:
     >>> steinberg_multiplicity(((3, 4, 1, 2),), empty, empty)
     1
     """
-    return _folded_multiplicity(w, J, S, {})
+    _check_preconditions(w, J, S)
+    s_mask = _mask(S.members)
+    j_mask = _mask(J.members)
+    folded = _fold(w, J, j_mask, {})
+    return _read_fold(folded, j_mask & ~s_mask, list(_supermasks(0, s_mask)))
 
 
-def _component_table(comp: Perm, J: BlockSet, memo: dict) -> dict:
-    """{(outer support, length parity): summed P_{u,comp}(1)} over u in
-    the parabolic on the inner roots plus J.  ``memo`` keeps the rows of
-    each parabolic and each table, so callers that pass one dict share
-    them across labels.  Keys hold J's members but not its shape: one
-    dict serves one (r, k)."""
-    key = J.members
-    table = memo.get((comp, key))
+def _component_table(comp: Perm, shape: BlockSet, top: int, memo: dict) -> dict:
+    """{outer mask: sum of (-1)^{l(u)} P_{u,comp}(1)} over u in the
+    parabolic on the inner roots plus the blocks of the mask ``top``.
+    ``memo`` keeps the rows of each parabolic and each table, so callers
+    that pass one dict share them across labels.  Only ``shape``'s r and
+    k are read, and the keys do not hold them: one dict serves one
+    (r, k)."""
+    table = memo.get((comp, top))
     if table is not None:
         return table
-    rows = memo.get(key)
+    rows = memo.get(top)
     if rows is None:
-        inner = J.inner_roots()
-        rows = memo[key] = [
-            (u, support(u) - inner, length(u) % 2)
-            for u in enumerate_parabolic(J.n, inner | J.roots())
+        r = shape.r
+        roots = shape.inner_roots() | {(b + 1) * r for b in range(shape.k - 1) if top >> b & 1}
+        rows = memo[top] = [
+            (u, sum(1 << (i // r - 1) for i in support(u) if i % r == 0), length(u) % 2)
+            for u in enumerate_parabolic(shape.n, roots)
         ]
     table = {}
     for u, outer, parity in rows:
         val = poly_eval_one(kl_poly(u, comp))
         if val:
-            table[outer, parity] = table.get((outer, parity), 0) + val
-    memo[comp, key] = table
+            table[outer] = table.get(outer, 0) + (-val if parity else val)
+    memo[comp, top] = table
     return table
 
 
-def _folded_multiplicity(w: MultiWeyl, J: BlockSet, S: BlockSet, memo: dict) -> int:
-    _check_preconditions(w, J, S)
-    lower_roots = frozenset(i * J.r for i in J.members - S.members)
-    upper_roots = J.roots()
-    s_roots = S.roots()
-    folded = {(frozenset(), 0): 1}
+def _fold(w: MultiWeyl, shape: BlockSet, top: int, memo: dict) -> dict:
+    """G: the OR-convolution of the components' ``_component_table``s
+    over the mask ``top``."""
+    folded = {0: 1}
     for comp in w:
         step: dict = {}
-        for (outer_a, par_a), va in folded.items():
-            for (outer_b, par_b), vb in _component_table(comp, J, memo).items():
-                key = (outer_a | outer_b, par_a ^ par_b)
+        for outer_a, va in folded.items():
+            for outer_b, vb in _component_table(comp, shape, top, memo).items():
+                key = outer_a | outer_b
                 step[key] = step.get(key, 0) + va * vb
         folded = step
-    total = 0
-    for (outer, parity), val in folded.items():
-        if lower_roots <= outer <= upper_roots:
-            total += -val if (parity + len(outer - s_roots)) % 2 else val
-    return total
+    return folded
+
+
+def _read_fold(folded: dict, extra: int, s_submasks: list) -> int:
+    """m(w, J, S) from w's fold, with ``extra`` the mask of J minus S and
+    ``s_submasks`` every submask of S."""
+    total = sum(folded.get(extra | t, 0) for t in s_submasks)
+    return -total if extra.bit_count() % 2 else total
+
+
+def _formula_values(S: BlockSet, d_L: int, max_len: int | None):
+    """Yield (w, J, m(w, J, S)) for every admissible label, in label
+    order, with one fold per w over its J_top."""
+    s_submasks = list(_supermasks(0, _mask(S.members)))
+    memo: dict = {}
+    for w, top, labels in _label_groups(S, d_L, max_len):
+        for J, _ in labels:
+            _check_preconditions(w, J, S)
+        folded = _fold(w, S, top, memo)
+        for J, extra in labels:
+            yield w, J, _read_fold(folded, extra, s_submasks)
 
 
 def steinberg_multiplicity_oracle(w: MultiWeyl, J: BlockSet, S: BlockSet) -> int:
@@ -226,9 +260,15 @@ class ConstituentLabel(_Frozen):
         object.__setattr__(self, "S", S)
 
 
-def _admissible_labels(
+def _label_groups(
     S: BlockSet, d_L: int, max_len: int | None
-) -> list[tuple[MultiWeyl, BlockSet]]:
+) -> list[tuple[MultiWeyl, int, list[tuple[BlockSet, int]]]]:
+    """The admissible labels grouped by w, in label order: (w, mask of
+    J_top, [(J, mask of J minus S), ...]), where J_top is S plus the
+    ascent blocks of w and the J are the block sets between S and J_top.
+    Labels sort by (length, one-line lex, sorted members of J), so each
+    w's labels are consecutive.  Each distinct J is built once per call
+    and shared by the labels that name it."""
     if d_L < 1:
         raise ValueError(f"d_L must be at least 1, got {d_L}")
     if max_len is not None and max_len < 0:
@@ -257,15 +297,38 @@ def _admissible_labels(
             for c, l_c, b_c in reps
             if l_combo + l_c <= max_len
         ]
-    keyed = []
-    for combo, l_combo, blocks in combos:
-        extra = sorted(blocks - S.members)
-        for t in range(len(extra) + 1):
-            for picked in itertools.combinations(extra, t):
-                members = S.members | set(picked)
-                keyed.append(((l_combo, combo, sorted(members)), BlockSet(S.r, S.k, members)))
-    keyed.sort(key=lambda pair: pair[0])
-    return [(key[1], J) for key, J in keyed]
+    combos.sort(key=lambda c: (c[1], c[0]))
+    # Per distinct set of ascent blocks: J_top's mask and the sorted
+    # labels' block sets, each J interned in ``block_sets``.
+    block_sets: dict[frozenset[int], BlockSet] = {}
+    by_blocks: dict[frozenset[int], tuple[int, list]] = {}
+    s_mask = _mask(S.members)
+    groups = []
+    for combo, _, blocks in combos:
+        entry = by_blocks.get(blocks)
+        if entry is None:
+            extra = sorted(blocks - S.members)
+            member_sets = sorted(
+                (S.members.union(picked)
+                 for t in range(len(extra) + 1)
+                 for picked in itertools.combinations(extra, t)),
+                key=sorted,
+            )
+            labels = []
+            for members in member_sets:
+                J = block_sets.get(members)
+                if J is None:
+                    J = block_sets[members] = BlockSet(S.r, S.k, members)
+                labels.append((J, _mask(members) & ~s_mask))
+            entry = by_blocks[blocks] = (_mask(S.members | blocks), labels)
+        groups.append((combo, *entry))
+    return groups
+
+
+def _admissible_labels(
+    S: BlockSet, d_L: int, max_len: int | None
+) -> list[tuple[MultiWeyl, BlockSet]]:
+    return [(w, J) for w, _, labels in _label_groups(S, d_L, max_len) for J, _ in labels]
 
 
 def enumerate_constituents(
@@ -274,7 +337,8 @@ def enumerate_constituents(
     """All constituent labels (w, J) with nonzero multiplicity, w running
     over tuples of minimal representatives whose shifted zero weight is
     dominant for the inner roots plus S, with total length at most
-    max_len; sorted by (length, one-line lex, J).
+    max_len; sorted by (length, one-line lex, J).  Each w is folded once
+    (see ``steinberg_multiplicity``).
 
     >>> from .cosets import BlockSet
     >>> empty = BlockSet(2, 2)
@@ -282,13 +346,11 @@ def enumerate_constituents(
     >>> [(lab.w, sorted(lab.J.members), m) for lab, m in out if not lab.J.members]
     [(((1, 2, 3, 4),), [], 1), (((1, 3, 2, 4),), [], 1), (((3, 4, 1, 2),), [], 1)]
     """
-    out = []
-    memo: dict = {}
-    for w, J in _admissible_labels(S, d_L, max_len):
-        m = _folded_multiplicity(w, J, S, memo)
-        if m != 0:
-            out.append((ConstituentLabel(w, J, S), m))
-    return out
+    return [
+        (ConstituentLabel(w, J, S), m)
+        for w, J, m in _formula_values(S, d_L, max_len)
+        if m != 0
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -369,13 +431,15 @@ def check_complex_squares_zero(I: BlockSet) -> bool:
     """
     universe = (1 << (I.k - 1)) - 1
     base = _mask(I.members)
-    for top in _supermasks(base, universe):
-        free = top & ~base
-        removable = [1 << b for b in range(I.k - 1) if free >> b & 1]
-        for dropped in itertools.combinations(removable, 2):
-            bot = top & ~(dropped[0] | dropped[1])
-            acc = sum(_sign(top, top ^ mid) * _sign(top ^ mid, bot) for mid in dropped)
-            if acc != 0:
+    free = [1 << b for b in range(I.k - 1) if not base >> b & 1]
+    tops = list(_supermasks(base, universe))
+    # The first-step sign from each top to top minus one of its free
+    # bits; every second step is a first step from a smaller top.
+    signs = {(top, bit): _sign(top, top ^ bit) for top in tops for bit in free if top & bit}
+    for top in tops:
+        removable = [bit for bit in free if top & bit]
+        for a, b in itertools.combinations(removable, 2):
+            if signs[top, a] * signs[top ^ a, b] + signs[top, b] * signs[top ^ b, a]:
                 return False
     return True
 
@@ -388,18 +452,17 @@ def analytic_tits_euler_check(
     equals the direct multiplicity formula.
 
     The formula and the oracle each keep their own dict for the whole
-    call: the formula's holds its ``_component_table``s, the oracle's its
-    per-K rows and per-(K, component) alternating sums.  No entry passes
-    from one route to the other, so each label's two integers are still
-    computed independently.
+    call: the formula's holds its ``_component_table``s, from which it
+    folds each w once, the oracle's its per-K rows and per-(K, component)
+    alternating sums.  No entry passes from one route to the other, so
+    each label's two integers are still computed independently.
 
     >>> analytic_tits_euler_check(BlockSet(2, 2), 1)
     True
     """
-    formula_memo: dict = {}
     oracle_memo: dict = {}
-    for w, J in _admissible_labels(S, d_L, max_len):
-        if _folded_multiplicity(w, J, S, formula_memo) != _oracle(w, J, S, oracle_memo):
+    for w, J, m in _formula_values(S, d_L, max_len):
+        if m != _oracle(w, J, S, oracle_memo):
             return False
     return True
 

@@ -8,6 +8,8 @@ from parastein.kl_mult import kl_poly, parabolic_verma_mult, poly_eval_one
 from parastein.steinberg_mult import (
     GrothVector,
     _admissible_labels,
+    _label_groups,
+    _mask,
     _oracle,
     analytic_tits_euler_check,
     check_complex_squares_zero,
@@ -118,17 +120,21 @@ def product_sum(w, J, S):
 
 def test_fold_equals_product_sum():
     # d_L = 3 and (1,4,2) reach fold orders and support unions that the
-    # formula-oracle envelope (d_L <= 2) does not.
-    for r, k, d_L in [(2, 2, 3), (1, 3, 3), (1, 4, 2)]:
+    # formula-oracle envelope (d_L <= 2) does not; (3,2,2) has r > 1 and
+    # components whose tables hold both outer masks.
+    for r, k, d_L in [(2, 2, 3), (1, 3, 3), (1, 4, 2), (3, 2, 2)]:
         for S in all_blocksets(r, k):
             for w, J in _admissible_labels(S, d_L, None):
                 assert steinberg_multiplicity(w, J, S) == product_sum(w, J, S)
 
 
 def test_enumerate_constituents_matches_per_label():
-    # enumerate_constituents shares the per-component tables across
-    # labels; each answer must match a fresh per-label computation.
-    for r, k, d_L in [(2, 2, 2), (1, 4, 2)]:
+    # enumerate_constituents folds each w once, over J_top, and reads
+    # every J of w off that fold; each answer must match a fresh
+    # per-label computation, which folds over the label's own J.  Every S
+    # is taken, so the sum over the submasks T of S has more than one
+    # term, and (2,3,1), (3,2,2) have r > 1.
+    for r, k, d_L in [(2, 2, 2), (1, 4, 2), (2, 3, 1), (3, 2, 2)]:
         for S in all_blocksets(r, k):
             got = [(lab.w, lab.J, m) for lab, m in enumerate_constituents(S, d_L)]
             want = [
@@ -137,6 +143,23 @@ def test_enumerate_constituents_matches_per_label():
                 if (m := steinberg_multiplicity(w, J, S)) != 0
             ]
             assert got == want
+
+
+def test_label_groups_fold_over_the_union_of_their_labels():
+    # J_top is S plus the ascent blocks of w, which is the largest J
+    # among w's labels; each J is built once per call.
+    for r, k, d_L in [(1, 4, 2), (2, 3, 1)]:
+        for S in all_blocksets(r, k):
+            groups = _label_groups(S, d_L, None)
+            seen = {}
+            for w, top, labels in groups:
+                assert top == _mask(frozenset().union(*(J.members for J, _ in labels)))
+                for J, extra in labels:
+                    assert extra == _mask(J.members - S.members)
+                    assert seen.setdefault(J.members, J) is J
+            assert [(w, J) for w, _, labels in groups for J, _ in labels] == (
+                _admissible_labels(S, d_L, None)
+            )
 
 
 def test_shared_oracle_memo_matches_fresh_oracle():
@@ -215,6 +238,20 @@ def test_complex_squares_zero_fails_without_position_parity(monkeypatch):
     assert not check_complex_squares_zero(BlockSet(1, 4))
 
 
+def test_complex_squares_zero_signs_each_step_once(monkeypatch):
+    # One _sign call per (top, free bit of top), not two per pair.
+    calls = []
+    sign = steinberg_mult._sign
+    monkeypatch.setattr(
+        steinberg_mult, "_sign", lambda top, bot: calls.append((top, bot)) or sign(top, bot)
+    )
+    for I in all_blocksets(1, 6):
+        calls.clear()
+        assert check_complex_squares_zero(I)
+        f = 5 - len(I.members)
+        assert len(calls) == len(set(calls)) == f * 2 ** (f - 1)
+
+
 def test_complex_squares_zero_up_to_k5():
     for k in range(1, 6):
         for I in all_blocksets(1, k):
@@ -233,6 +270,14 @@ def test_analytic_euler_check_envelope():
     for S in all_blocksets(1, 3):
         assert analytic_tits_euler_check(S, 1)
     assert analytic_tits_euler_check(BlockSet(1, 1), 1)
+
+
+@pytest.mark.parametrize("r, k, d_L", [(3, 2, 1), (3, 2, 2), (2, 3, 1)])
+def test_analytic_euler_check_rank_6(r, k, d_L):
+    # Formula against oracle on every label of the rank-6 shapes, for
+    # every S; nonempty S exercises the sum over the submasks of S.
+    for S in all_blocksets(r, k):
+        assert analytic_tits_euler_check(S, d_L)
 
 
 def test_groth_vector_arithmetic():

@@ -133,7 +133,8 @@ def _kl(x: Perm, w: Perm, cap: int | None = ...) -> Poly:
                 lz = length(z)
                 if (lw - lz) % 2:  # l(v) - l(z) even, as l(v) = l(w) - 1
                     continue
-                if s_idx not in left_descents(z):
+                # s_idx is a left descent of z: z^{-1}(s) > z^{-1}(s + 1)
+                if z.index(s_idx) < z.index(s_idx + 1):
                     continue
                 if not bruhat_leq(x, z):
                     continue

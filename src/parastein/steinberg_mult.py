@@ -5,16 +5,19 @@ plus formal Tits complexes verified in a Grothendieck group.
 over a parabolic Weyl group; ``steinberg_multiplicity_oracle`` is the
 independent inclusion-exclusion over generalized Verma multiplicities.
 Both must agree on every admissible input; the test suite enforces this.
-Within one ``analytic_tits_euler_check`` call each route keeps its own
-memo dict, so a value is computed once per call but never passed from
-one route to the other, and the check stays independent.
 
-The formula, the smooth Euler check and ``check_complex_squares_zero``
-label block sets by int bitmasks, block index i being bit i - 1, and
-keep their Grothendieck-group sums in dicts keyed by those masks.  The
-analytic check compares the two routes' integers label by label.
-``GrothVector``, a finitely supported integer-valued function on opaque
-labels, is kept for callers; no check uses it.
+Block sets are int bitmasks, block index i being bit i - 1.  Within one
+``analytic_tits_euler_check`` call each w is handled once: the formula
+OR-folds its components' tables over J_top, the oracle sums its signed
+generalized Verma multiplicities over every K between S and J_top by
+one subset-sum transform, and the two are compared on each label (w, J).
+Each route keeps its own per-call dict, so a value is computed once per
+call but never passed from one route to the other, and the check stays
+independent.  The smooth Euler check is the same subset-sum transform
+on a signed indicator, and ``check_complex_squares_zero`` keeps its
+signs as int bitsets over the complex's terms.  ``GrothVector``, a
+finitely supported integer-valued function on opaque labels, is kept
+for callers; no check uses it.
 """
 
 from __future__ import annotations
@@ -208,22 +211,24 @@ def _read_fold(folded: dict, extra: int, s_submasks: list) -> int:
 
 
 def _formula_values(S: BlockSet, d_L: int, max_len: int | None):
-    """Yield (w, J, m(w, J, S)) for every admissible label, in label
-    order, with one fold per w over its J_top."""
+    """Yield (w, labels, [m(w, J, S) per label]) for each w of the
+    admissible labels, in label order, with ``labels`` as in
+    ``_label_groups``: one fold per w over its J_top."""
     s_submasks = list(_supermasks(0, _mask(S.members)))
     memo: dict = {}
     for w, top, labels in _label_groups(S, d_L, max_len):
         for J, _ in labels:
             _check_preconditions(w, J, S)
         folded = _fold(w, S, top, memo)
-        for J, extra in labels:
-            yield w, J, _read_fold(folded, extra, s_submasks)
+        yield w, labels, [_read_fold(folded, extra, s_submasks) for _, extra in labels]
 
 
 def steinberg_multiplicity_oracle(w: MultiWeyl, J: BlockSet, S: BlockSet) -> int:
     """Independent cross-check: inclusion-exclusion over the block sets K
     between S and J of generalized Verma multiplicities, with sign
-    (-1)^{|K minus S|}.
+    (-1)^{|K minus S|}.  The sum is read off ``_oracle_values`` over the
+    K between S and J, the transform that ``analytic_tits_euler_check``
+    runs once per w.
 
     >>> from .cosets import BlockSet
     >>> empty = BlockSet(2, 2)
@@ -232,21 +237,28 @@ def steinberg_multiplicity_oracle(w: MultiWeyl, J: BlockSet, S: BlockSet) -> int
     >>> steinberg_multiplicity_oracle(((2, 3, 1, 4),), empty, empty)
     0
     """
-    return _oracle(w, J, S, {})
-
-
-def _oracle(w: MultiWeyl, J: BlockSet, S: BlockSet, memo: dict) -> int:
-    """``steinberg_multiplicity_oracle`` with ``memo`` passed on to
-    ``_parabolic_verma_mult``, so callers that pass one dict build each
-    K's rows and per-component sums once.  One dict serves one (r, k)."""
     _check_preconditions(w, J, S)
-    extra = sorted(J.members - S.members)
-    total = 0
-    for t in range(len(extra) + 1):
-        for picked in itertools.combinations(extra, t):
-            term = _parabolic_verma_mult(J.r, J.k, S.members.union(picked), w, memo)
-            total += term if t % 2 == 0 else -term
-    return total
+    extra = J.members - S.members
+    return _oracle_values(w, S, _labels_between(S, extra, {}), {})[_mask(extra)]
+
+
+def _oracle_values(w: MultiWeyl, S: BlockSet, labels: list, memo: dict) -> dict:
+    """{mask of J minus S: the oracle's value at (w, J, S)} for the
+    labels (J, mask of J minus S), which must be every J between S and
+    some J_top.  Each K among them gives one signed generalized Verma
+    multiplicity F(K) = (-1)^{|K minus S|} m_K(w); the value at J is the
+    sum of F(K) over the K inside J, and one subset-sum pass over the
+    bits of J_top minus S gives it for every J at once.  ``memo`` is
+    passed on to ``_parabolic_verma_mult``, so callers that pass one dict
+    build each K's rows and per-component sums once.  One dict serves
+    one (r, k)."""
+    values = {}
+    free = 0
+    for K, extra in labels:
+        m = _parabolic_verma_mult(S.r, S.k, K.members, w, memo)
+        values[extra] = -m if extra.bit_count() % 2 else m
+        free |= extra
+    return _subset_sums(values, free)
 
 
 class ConstituentLabel(_Frozen):
@@ -298,31 +310,43 @@ def _label_groups(
             if l_combo + l_c <= max_len
         ]
     combos.sort(key=lambda c: (c[1], c[0]))
-    # Per distinct set of ascent blocks: J_top's mask and the sorted
-    # labels' block sets, each J interned in ``block_sets``.
+    # Per distinct set of ascent blocks: J_top's mask and the labels'
+    # block sets, each J interned in ``block_sets``.
     block_sets: dict[frozenset[int], BlockSet] = {}
     by_blocks: dict[frozenset[int], tuple[int, list]] = {}
-    s_mask = _mask(S.members)
     groups = []
     for combo, _, blocks in combos:
         entry = by_blocks.get(blocks)
         if entry is None:
-            extra = sorted(blocks - S.members)
-            member_sets = sorted(
-                (S.members.union(picked)
-                 for t in range(len(extra) + 1)
-                 for picked in itertools.combinations(extra, t)),
-                key=sorted,
+            entry = by_blocks[blocks] = (
+                _mask(S.members | blocks),
+                _labels_between(S, blocks - S.members, block_sets),
             )
-            labels = []
-            for members in member_sets:
-                J = block_sets.get(members)
-                if J is None:
-                    J = block_sets[members] = BlockSet(S.r, S.k, members)
-                labels.append((J, _mask(members) & ~s_mask))
-            entry = by_blocks[blocks] = (_mask(S.members | blocks), labels)
         groups.append((combo, *entry))
     return groups
+
+
+def _labels_between(
+    S: BlockSet, extra: frozenset[int], block_sets: dict
+) -> list[tuple[BlockSet, int]]:
+    """[(J, mask of J minus S)] for every J between S and S plus the
+    blocks ``extra``, sorted by sorted members.  Each J is taken from
+    ``block_sets`` (members -> BlockSet), or built and put there."""
+    s_mask = _mask(S.members)
+    extra_sorted = sorted(extra)
+    member_sets = sorted(
+        (S.members.union(picked)
+         for t in range(len(extra_sorted) + 1)
+         for picked in itertools.combinations(extra_sorted, t)),
+        key=sorted,
+    )
+    labels = []
+    for members in member_sets:
+        J = block_sets.get(members)
+        if J is None:
+            J = block_sets[members] = BlockSet(S.r, S.k, members)
+        labels.append((J, _mask(members) & ~s_mask))
+    return labels
 
 
 def _admissible_labels(
@@ -348,7 +372,8 @@ def enumerate_constituents(
     """
     return [
         (ConstituentLabel(w, J, S), m)
-        for w, J, m in _formula_values(S, d_L, max_len)
+        for w, labels, values in _formula_values(S, d_L, max_len)
+        for (J, _), m in zip(labels, values)
         if m != 0
     ]
 
@@ -401,11 +426,28 @@ def _supermasks(base: int, universe: int):
         sub = (sub - 1) & free
 
 
+def _subset_sums(values: dict, free: int) -> dict:
+    """The subset-sum (zeta) transform, in place: ``values`` holds one
+    entry per mask between some base and base | ``free``, and each entry
+    becomes the sum of the old entries at the masks between base and its
+    own.  One pass per bit of ``free``: f * 2^(f - 1) additions for f
+    bits, where summing each entry's submasks makes 3^f (Bjorklund,
+    Husfeldt, Kaski and Koivisto, Fourier meets Mobius, STOC 2007)."""
+    while free:
+        bit = free & -free
+        free ^= bit
+        for mask in values:
+            if mask & bit:
+                values[mask] += values[mask ^ bit]
+    return values
+
+
 def smooth_tits_euler_check(I: BlockSet) -> bool:
     """Verify, in Grothendieck-group arithmetic with the class of each
     full induction expanded as the sum of the labels above it, that the
     alternating sum of the complex terms above I collapses to the single
-    label of I.
+    label of I: the subset-sum transform of the signed indicator
+    (-1)^{|K minus I|} on the K above I is the indicator of I.
 
     >>> smooth_tits_euler_check(BlockSet(2, 2))
     True
@@ -414,17 +456,17 @@ def smooth_tits_euler_check(I: BlockSet) -> bool:
     """
     universe = (1 << (I.k - 1)) - 1
     base = _mask(I.members)
-    total: dict[int, int] = {}
-    for K in _supermasks(base, universe):
-        sign = -1 if (K ^ base).bit_count() % 2 else 1
-        for L in _supermasks(K, universe):
-            total[L] = total.get(L, 0) + sign
+    total = _subset_sums(
+        {K: -1 if (K ^ base).bit_count() % 2 else 1 for K in _supermasks(base, universe)},
+        universe & ~base,
+    )
     return {L: c for L, c in total.items() if c} == {base: 1}
 
 
 def check_complex_squares_zero(I: BlockSet) -> bool:
-    """The sign rule composes to zero: for every pair K'' below K with two
-    blocks removed, the signed two-step compositions cancel.
+    """The sign rule composes to zero: every step that removes one block
+    has sign +1 or -1, and for every pair K'' below K with two blocks
+    removed, the signed two-step compositions cancel.
 
     >>> check_complex_squares_zero(BlockSet(1, 5))
     True
@@ -432,15 +474,29 @@ def check_complex_squares_zero(I: BlockSet) -> bool:
     universe = (1 << (I.k - 1)) - 1
     base = _mask(I.members)
     free = [1 << b for b in range(I.k - 1) if not base >> b & 1]
-    tops = list(_supermasks(base, universe))
-    # The first-step sign from each top to top minus one of its free
-    # bits; every second step is a first step from a smaller top.
-    signs = {(top, bit): _sign(top, top ^ bit) for top in tops for bit in free if top & bit}
-    for top in tops:
-        removable = [bit for bit in free if top & bit]
-        for a, b in itertools.combinations(removable, 2):
-            if signs[top, a] * signs[top ^ a, b] + signs[top, b] * signs[top ^ b, a]:
-                return False
+    # Int bitsets over the tops, bit ``top`` standing for the mask top:
+    # per free bit, the tops that hold it and the tops whose step
+    # removing it has sign -1.  Every second step is a first step from
+    # a smaller top.
+    holds = dict.fromkeys(free, 0)
+    negative = dict.fromkeys(free, 0)
+    for top in _supermasks(base, universe):
+        for bit in free:
+            if top & bit:
+                sign = _sign(top, top ^ bit)
+                if sign == -1:
+                    negative[bit] |= 1 << top
+                elif sign != 1:
+                    return False
+                holds[bit] |= 1 << top
+    for a, b in itertools.combinations(free, 2):
+        # From a top holding a and b, the routes removing a then b and b
+        # then a cancel when an odd number of their four steps is -1.  The
+        # step removing b from top minus a is bit top - a of negative[b],
+        # so bit top of negative[b] << a.
+        odd = negative[a] ^ negative[b] ^ (negative[b] << a) ^ (negative[a] << b)
+        if holds[a] & holds[b] & ~odd:
+            return False
     return True
 
 
@@ -451,19 +507,27 @@ def analytic_tits_euler_check(
     for every admissible label, the inclusion-exclusion over the terms
     equals the direct multiplicity formula.
 
-    The formula and the oracle each keep their own dict for the whole
-    call: the formula's holds its ``_component_table``s, from which it
-    folds each w once, the oracle's its per-K rows and per-(K, component)
-    alternating sums.  No entry passes from one route to the other, so
-    each label's two integers are still computed independently.
+    The labels are walked once, grouped by w.  For each w the formula
+    OR-folds its component tables over J_top and reads every label off
+    that fold (see ``steinberg_multiplicity``), and the oracle runs one
+    subset-sum transform of its signed generalized Verma multiplicities
+    over the K between S and J_top (``_oracle_values``); the two are
+    then compared label by label.  The formula and the oracle each keep
+    their own dict for the whole call: the formula's holds its
+    ``_component_table``s, the oracle's its per-K rows and
+    per-(K, component) alternating sums.  No entry passes from one route
+    to the other, so each label's two integers are still computed
+    independently.
 
     >>> analytic_tits_euler_check(BlockSet(2, 2), 1)
     True
     """
     oracle_memo: dict = {}
-    for w, J, m in _formula_values(S, d_L, max_len):
-        if m != _oracle(w, J, S, oracle_memo):
-            return False
+    for w, labels, values in _formula_values(S, d_L, max_len):
+        oracle = _oracle_values(w, S, labels, oracle_memo)
+        for (_, extra), m in zip(labels, values):
+            if m != oracle[extra]:
+                return False
     return True
 
 

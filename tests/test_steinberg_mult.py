@@ -4,13 +4,18 @@ import pytest
 
 from parastein import steinberg_mult
 from parastein.cosets import BlockSet
-from parastein.kl_mult import kl_poly, parabolic_verma_mult, poly_eval_one
+from parastein.kl_mult import (
+    _parabolic_verma_mult,
+    kl_poly,
+    parabolic_verma_mult,
+    poly_eval_one,
+)
 from parastein.steinberg_mult import (
     GrothVector,
     _admissible_labels,
     _label_groups,
     _mask,
-    _oracle,
+    _oracle_values,
     analytic_tits_euler_check,
     check_complex_squares_zero,
     enumerate_constituents,
@@ -163,13 +168,87 @@ def test_label_groups_fold_over_the_union_of_their_labels():
 
 
 def test_shared_oracle_memo_matches_fresh_oracle():
-    # analytic_tits_euler_check passes one oracle dict per call; each
-    # answer must match an oracle call with a fresh dict.
+    # analytic_tits_euler_check runs _oracle_values once per w with one
+    # oracle dict per call; each label's value must match an oracle call
+    # with a fresh dict.
     for r, k, d_L in [(2, 2, 2), (1, 4, 2)]:
         for S in all_blocksets(r, k):
             memo = {}
+            for w, _, labels in _label_groups(S, d_L, None):
+                values = _oracle_values(w, S, labels, memo)
+                for J, extra in labels:
+                    assert values[extra] == steinberg_multiplicity_oracle(w, J, S)
+
+
+def inclusion_exclusion(w, J, S, memo):
+    """Brute force for the oracle: its sum over the K between S and J,
+    one term per K, with ``memo`` a dict of the test's own."""
+    extra = sorted(J.members - S.members)
+    total = 0
+    for t in range(len(extra) + 1):
+        for picked in itertools.combinations(extra, t):
+            m = _parabolic_verma_mult(J.r, J.k, S.members.union(picked), w, memo)
+            total += -m if t % 2 else m
+    return total
+
+
+@pytest.mark.parametrize(
+    "r, k, d_L",
+    [(r, k, d_L) for r, k in [(1, 4), (2, 2), (4, 1)] for d_L in (1, 2, 3)] + [(3, 2, 1)],
+)
+def test_oracle_transform_matches_inclusion_exclusion(r, k, d_L):
+    # One subset-sum pass per w must give every label the value of its
+    # own inclusion-exclusion, for every S; no cap on the length.
+    for S in all_blocksets(r, k):
+        memo, brute_memo = {}, {}
+        for w, _, labels in _label_groups(S, d_L, None):
+            values = _oracle_values(w, S, labels, memo)
+            assert len(values) == len(labels)
+            for J, extra in labels:
+                assert values[extra] == inclusion_exclusion(w, J, S, brute_memo)
+
+
+def test_single_label_oracle_matches_inclusion_exclusion():
+    # steinberg_multiplicity_oracle runs the same transform over its own J.
+    for r, k, d_L in [(1, 4, 1), (2, 2, 2), (4, 1, 2), (3, 2, 1)]:
+        for S in all_blocksets(r, k):
+            brute_memo = {}
             for w, J in _admissible_labels(S, d_L, None):
-                assert _oracle(w, J, S, memo) == steinberg_multiplicity_oracle(w, J, S)
+                assert steinberg_multiplicity_oracle(w, J, S) == (
+                    inclusion_exclusion(w, J, S, brute_memo)
+                )
+
+
+def perturb_one_call(monkeypatch, name, target):
+    """Patch steinberg_mult.<name> so that its call number ``target``
+    (None: no call) returns one more than it should; return the list of
+    the calls' arguments, which grows as they are made."""
+    fn = getattr(steinberg_mult, name)
+    calls = []
+
+    def perturbed(*args):
+        calls.append(args)
+        out = fn(*args)
+        return out + 1 if len(calls) - 1 == target else out
+
+    monkeypatch.setattr(steinberg_mult, name, perturbed)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["_read_fold", "_parabolic_verma_mult"])
+def test_analytic_euler_check_fails_on_one_perturbed_value(monkeypatch, name):
+    # One formula value (_read_fold gives one label's m) or one
+    # generalized Verma multiplicity on the oracle side, off by one,
+    # must fail the check, whichever call it is.
+    for S in all_blocksets(2, 2):
+        with monkeypatch.context() as m:
+            calls = perturb_one_call(m, name, None)
+            assert analytic_tits_euler_check(S, 2)
+        assert calls
+        for target in range(len(calls)):
+            with monkeypatch.context() as m:
+                perturb_one_call(m, name, target)
+                assert not analytic_tits_euler_check(S, 2)
 
 
 def test_multi_component_factorization():
@@ -252,6 +331,21 @@ def test_complex_squares_zero_signs_each_step_once(monkeypatch):
         assert len(calls) == len(set(calls)) == f * 2 ** (f - 1)
 
 
+@pytest.mark.parametrize(
+    "zero_step",
+    [lambda top, bot: True, lambda top, bot: top == 0b1111 and bot == 0b0111],
+    ids=["every-step", "one-step"],
+)
+def test_complex_squares_zero_fails_on_a_zero_step(monkeypatch, zero_step):
+    # With every sign 0 every two-step product is 0 and the pairs cancel
+    # trivially; a one-block step must have sign +1 or -1.
+    sign = steinberg_mult._sign
+    monkeypatch.setattr(
+        steinberg_mult, "_sign", lambda top, bot: 0 if zero_step(top, bot) else sign(top, bot)
+    )
+    assert not check_complex_squares_zero(BlockSet(1, 5))
+
+
 def test_complex_squares_zero_up_to_k5():
     for k in range(1, 6):
         for I in all_blocksets(1, k):
@@ -262,6 +356,24 @@ def test_smooth_euler_check_k_up_to_6():
     for k in range(1, 7):
         for I in all_blocksets(1, k):
             assert smooth_tits_euler_check(I)
+
+
+def test_smooth_euler_check_fails_when_broken(monkeypatch):
+    # The Euler sum collapses only with the sign (-1)^{|K minus I|} and a
+    # full transform: unsigned terms, or a transform that skips a bit,
+    # must fail the check wherever I leaves a block free.
+    transform = steinberg_mult._subset_sums
+    broken = {
+        "unsigned": lambda values, free: transform({K: abs(v) for K, v in values.items()}, free),
+        "skips-a-bit": lambda values, free: transform(values, free & (free - 1)),
+    }
+    for name, patched in broken.items():
+        with monkeypatch.context() as m:
+            m.setattr(steinberg_mult, "_subset_sums", patched)
+            for k in range(2, 6):
+                for I in all_blocksets(1, k):
+                    if len(I.members) < k - 1:
+                        assert not smooth_tits_euler_check(I), (name, I)
 
 
 def test_analytic_euler_check_envelope():

@@ -9,7 +9,8 @@ verb prints exactly one JSON document on standard output.  Exit codes,
 each failure with {"error": ...} on stdout:
 
 - 0 success;
-- 2 bad input: a usage error or a failed precondition;
+- 2 bad input: a usage error or a failed precondition, such as a rank
+  below 1;
 - 3 a resource bound was exceeded, such as the enumeration bound, the
   KL memo cap, or a constituent listing above rank 6 without --max-len;
 - 4 a selftest invariant failed; the document also carries "check", the
@@ -432,6 +433,8 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         args = vars(_parser(argv).parse_args(argv))
+        if args.get("n", 1) < 1:
+            raise ValueError("n must be positive")
         VERBS[args.pop("verb")][0](**args)
         return 0
     except _Help:

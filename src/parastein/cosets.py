@@ -78,6 +78,25 @@ class BlockSet(_Frozen):
         return tuple(len(b) for b in blocks_of_rootset(self.k, self.members))
 
 
+def _mask(members: frozenset[int]) -> int:
+    """Block set as an int: block index i is bit i - 1."""
+    return sum(1 << (i - 1) for i in members)
+
+
+def _members(mask: int) -> frozenset[int]:
+    """Inverse of ``_mask``: the block indices of the bits of ``mask``."""
+    return frozenset(b + 1 for b in range(mask.bit_length()) if mask >> b & 1)
+
+
+def _parabolic_roots(r: int, k: int, mask: int) -> frozenset[int]:
+    """The inner roots plus the roots of the blocks in ``mask``.
+
+    >>> sorted(_parabolic_roots(2, 3, 0b10))
+    [1, 3, 4, 5]
+    """
+    return frozenset(i for i in range(1, r * k) if i % r or mask >> (i // r - 1) & 1)
+
+
 def parse_blockset(text: str, r: int, k: int) -> BlockSet:
     """Parse a comma list of block indices; "-" is the empty set.
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 
-from .cosets import BlockSet
+from .cosets import BlockSet, _mask, _parabolic_roots
 from .weyl_core import (
     BoundExceededError,
     MultiWeyl,
@@ -204,35 +204,32 @@ def parabolic_verma_mult(K: BlockSet, w: MultiWeyl) -> int:
     >>> parabolic_verma_mult(K, ((2, 1, 3, 4),))
     0
     """
-    return _parabolic_verma_mult(K.r, K.k, K.members, w, {})
+    return _parabolic_verma_mult(K.r, K.k, _mask(K.members), w, {})
 
 
-def _parabolic_verma_mult(
-    r: int, k: int, members: frozenset[int], w: MultiWeyl, memo: dict
-) -> int:
-    """``parabolic_verma_mult`` for K = BlockSet(r, k, members), with
-    ``memo`` keeping the rows (u, l(u) mod 2) of each parabolic and each
-    per-component alternating sum, so callers that pass one dict build
-    each of them once; K itself is built only when its rows are missing.
-    Keys hold K's members but not its shape: one dict serves one (r, k)."""
+def _parabolic_verma_mult(r: int, k: int, mask: int, w: MultiWeyl, memo: dict) -> int:
+    """``parabolic_verma_mult`` for K of shape (r, k) and block mask
+    ``mask`` (block i is bit i - 1), with ``memo`` keeping the rows
+    (u, l(u) mod 2) of each parabolic and each per-component alternating
+    sum, so callers that pass one dict build each of them once.  Keys
+    hold the mask but not the shape: one dict serves one (r, k)."""
     n = r * k
     for comp in w:
         if len(comp) != n:
             raise ValueError(f"component rank {len(comp)} != {n}")
-    par = memo.get(members)
+    par = memo.get(mask)
     if par is None:
-        K = BlockSet(r, k, members)
-        roots = K.inner_roots() | K.roots()
-        par = memo[members] = [(u, length(u) % 2) for u in enumerate_parabolic(n, roots)]
+        roots = _parabolic_roots(r, k, mask)
+        par = memo[mask] = [(u, length(u) % 2) for u in enumerate_parabolic(n, roots)]
     out = 1
     for comp in w:
-        acc = memo.get((members, comp))
+        acc = memo.get((mask, comp))
         if acc is None:
             acc = 0
             for u, parity in par:
                 p = poly_eval_one(kl_poly(u, comp))
                 acc += -p if parity else p
-            memo[members, comp] = acc
+            memo[mask, comp] = acc
         out *= acc
         if out == 0:
             return 0

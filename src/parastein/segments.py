@@ -79,6 +79,8 @@ def jacquet_decomposition(
     >>> [t for _, t in jacquet_decomposition(2, 2)]
     [(Fraction(0, 1), Fraction(1, 1)), (Fraction(-1, 1), Fraction(2, 1))]
     """
+    if r < 1 or k < 1:
+        raise ValueError("r and k must be positive")
     return [(w, jacquet_twists(w, r)) for w in enumerate_group(k, bound)]
 
 

@@ -6,25 +6,28 @@ over a parabolic Weyl group; ``steinberg_multiplicity_oracle`` is the
 independent inclusion-exclusion over generalized Verma multiplicities.
 Both must agree on every admissible input; the test suite enforces this.
 
-Block sets are int bitmasks, block index i being bit i - 1.  Within one
-``analytic_tits_euler_check`` call each w is handled once: the formula
-OR-folds its components' tables over J_top, the oracle sums its signed
-generalized Verma multiplicities over every K between S and J_top by
-one subset-sum transform, and the two are compared on each label (w, J).
-Each route keeps its own per-call dict, so a value is computed once per
-call but never passed from one route to the other, and the check stays
-independent.  The smooth Euler check is the same subset-sum transform
-on a signed indicator, and ``check_complex_squares_zero`` keeps its
-signs as int bitsets over the complex's terms.  ``GrothVector``, a
-finitely supported integer-valued function on opaque labels, is kept
-for callers; no check uses it.
+Block sets are int bitmasks, block index i being bit i - 1, from label
+generation through both routes; ``BlockSet``s are built only at the
+public boundary.  A label (w, J) of the module attached to S travels as
+w and the mask of J minus S.  Within one ``analytic_tits_euler_check``
+call each w is handled once: the formula OR-folds its components'
+tables, keyed by outer support minus S, over J_top and reads each label
+with one lookup; the oracle sums its signed generalized Verma
+multiplicities over every K between S and J_top by one subset-sum
+transform.  Each route keeps its own per-call dict, so a value is
+computed once per call but never passed from one route to the other,
+and the check stays independent.  The smooth Euler check is the same
+transform on a signed indicator, and ``check_complex_squares_zero``
+keeps its signs as int bitsets.  ``GrothVector``, a finitely supported
+integer-valued function on opaque labels, is kept for callers; no check
+uses it.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .cosets import BlockSet
+from .cosets import BlockSet, _mask, _members, _parabolic_roots
 from .kl_mult import _parabolic_verma_mult, kl_poly, poly_eval_one
 from .weyl_core import (
     BoundExceededError,
@@ -124,25 +127,25 @@ def steinberg_multiplicity(w: MultiWeyl, J: BlockSet, S: BlockSet) -> int:
     not multiplied out.  Outer supports are block bitmasks, block i being
     bit i - 1.  The outer support of w' is the OR of those of the u_i,
     and (-1)^{l(w')} is the product of the (-1)^{l(u_i)}.  So each
-    component is summed into a signed table {outer mask: sum of
+    component is summed into a signed table {outer mask minus S: sum of
     (-1)^{l(u)} P_{u,w_i}(1)}, and the d_L tables are folded by an
-    OR-convolution into G(O), the signed sum over the w' of outer
-    support O.  Since S lies in J, an O between J minus S and J is
-    (J minus S) | T with T a submask of S, and then |O minus S| =
-    |J minus S|, so
+    OR-convolution into G(P), the signed sum over the w' whose outer
+    support O has O minus S = P (masking off S commutes with OR).  Since
+    S lies in J, the O between J minus S and J are exactly the O with
+    O minus S = J minus S, and each has |O minus S| = |J minus S|, so
 
-        m(w, J, S) = (-1)^{|J minus S|} * sum over T in S of G((J minus S) | T),
+        m(w, J, S) = (-1)^{|J minus S|} * G(J minus S),
 
-    a single lookup for S empty.
+    one lookup, with no sum over the submasks of S.
 
-    The fold over a larger J' gives G(O) exactly for every O inside J:
-    the u of the parabolic on the inner roots plus J are the u of the
-    one on the inner roots plus J' whose outer support lies in J, and an
-    OR of masks lies in J exactly when each mask does.  So
-    ``enumerate_constituents`` and ``analytic_tits_euler_check`` fold
-    each w once, over J_top = S plus the ascent blocks of w, and read
-    every label (w, J) off that fold.  This function folds over its own
-    J.
+    The fold over a larger J' gives the same G(P) for every P inside
+    J minus S: an O with O minus S = P lies in J, the u of the parabolic
+    on the inner roots plus J are the u of the one on the inner roots
+    plus J' whose outer support lies in J, and an OR of masks lies in J
+    exactly when each mask does.  So ``enumerate_constituents`` and
+    ``analytic_tits_euler_check`` fold each w once, over J_top = S plus
+    the ascent blocks of w, and read every label (w, J) off that fold.
+    This function folds over its own J.
 
     >>> from .cosets import BlockSet
     >>> empty = BlockSet(2, 2)
@@ -156,29 +159,24 @@ def steinberg_multiplicity(w: MultiWeyl, J: BlockSet, S: BlockSet) -> int:
     1
     """
     _check_preconditions(w, J, S)
-    s_mask = _mask(S.members)
-    j_mask = _mask(J.members)
-    folded = _fold(w, J, j_mask, {})
-    return _read_fold(folded, j_mask & ~s_mask, list(_supermasks(0, s_mask)))
+    return _read_fold(_fold(w, S, _mask(J.members), {}), _mask(J.members - S.members))
 
 
-def _component_table(comp: Perm, shape: BlockSet, top: int, memo: dict) -> dict:
-    """{outer mask: sum of (-1)^{l(u)} P_{u,comp}(1)} over u in the
-    parabolic on the inner roots plus the blocks of the mask ``top``.
+def _component_table(comp: Perm, S: BlockSet, top: int, memo: dict) -> dict:
+    """{outer mask minus S: sum of (-1)^{l(u)} P_{u,comp}(1)} over u in
+    the parabolic on the inner roots plus the blocks of the mask ``top``.
     ``memo`` keeps the rows of each parabolic and each table, so callers
-    that pass one dict share them across labels.  Only ``shape``'s r and
-    k are read, and the keys do not hold them: one dict serves one
-    (r, k)."""
+    that pass one dict share them across labels.  The keys hold neither
+    S nor its shape: one dict serves one S."""
     table = memo.get((comp, top))
     if table is not None:
         return table
     rows = memo.get(top)
     if rows is None:
-        r = shape.r
-        roots = shape.inner_roots() | {(b + 1) * r for b in range(shape.k - 1) if top >> b & 1}
+        r, off_s = S.r, ~_mask(S.members)
         rows = memo[top] = [
-            (u, sum(1 << (i // r - 1) for i in support(u) if i % r == 0), length(u) % 2)
-            for u in enumerate_parabolic(shape.n, roots)
+            (u, sum(1 << (i // r - 1) for i in support(u) if i % r == 0) & off_s, length(u) % 2)
+            for u in enumerate_parabolic(S.n, _parabolic_roots(r, S.k, top))
         ]
     table = {}
     for u, outer, parity in rows:
@@ -189,38 +187,34 @@ def _component_table(comp: Perm, shape: BlockSet, top: int, memo: dict) -> dict:
     return table
 
 
-def _fold(w: MultiWeyl, shape: BlockSet, top: int, memo: dict) -> dict:
+def _fold(w: MultiWeyl, S: BlockSet, top: int, memo: dict) -> dict:
     """G: the OR-convolution of the components' ``_component_table``s
     over the mask ``top``."""
     folded = {0: 1}
     for comp in w:
         step: dict = {}
         for outer_a, va in folded.items():
-            for outer_b, vb in _component_table(comp, shape, top, memo).items():
+            for outer_b, vb in _component_table(comp, S, top, memo).items():
                 key = outer_a | outer_b
                 step[key] = step.get(key, 0) + va * vb
         folded = step
     return folded
 
 
-def _read_fold(folded: dict, extra: int, s_submasks: list) -> int:
-    """m(w, J, S) from w's fold, with ``extra`` the mask of J minus S and
-    ``s_submasks`` every submask of S."""
-    total = sum(folded.get(extra | t, 0) for t in s_submasks)
-    return -total if extra.bit_count() % 2 else total
+def _read_fold(folded: dict, extra: int) -> int:
+    """m(w, J, S) from w's fold, with ``extra`` the mask of J minus S."""
+    m = folded.get(extra, 0)
+    return -m if extra.bit_count() % 2 else m
 
 
 def _formula_values(S: BlockSet, d_L: int, max_len: int | None):
-    """Yield (w, labels, [m(w, J, S) per label]) for each w of the
-    admissible labels, in label order, with ``labels`` as in
+    """Yield (w, extras, [m(w, J, S) per label]) for each w of the
+    admissible labels, in label order, with ``extras`` as in
     ``_label_groups``: one fold per w over its J_top."""
-    s_submasks = list(_supermasks(0, _mask(S.members)))
     memo: dict = {}
-    for w, top, labels in _label_groups(S, d_L, max_len):
-        for J, _ in labels:
-            _check_preconditions(w, J, S)
+    for w, top, extras in _label_groups(S, d_L, max_len):
         folded = _fold(w, S, top, memo)
-        yield w, labels, [_read_fold(folded, extra, s_submasks) for _, extra in labels]
+        yield w, extras, [_read_fold(folded, extra) for extra in extras]
 
 
 def steinberg_multiplicity_oracle(w: MultiWeyl, J: BlockSet, S: BlockSet) -> int:
@@ -238,24 +232,25 @@ def steinberg_multiplicity_oracle(w: MultiWeyl, J: BlockSet, S: BlockSet) -> int
     0
     """
     _check_preconditions(w, J, S)
-    extra = J.members - S.members
-    return _oracle_values(w, S, _labels_between(S, extra, {}), {})[_mask(extra)]
+    extra = _mask(J.members - S.members)
+    return _oracle_values(w, S, list(_supermasks(0, extra)), {})[extra]
 
 
-def _oracle_values(w: MultiWeyl, S: BlockSet, labels: list, memo: dict) -> dict:
-    """{mask of J minus S: the oracle's value at (w, J, S)} for the
-    labels (J, mask of J minus S), which must be every J between S and
-    some J_top.  Each K among them gives one signed generalized Verma
-    multiplicity F(K) = (-1)^{|K minus S|} m_K(w); the value at J is the
-    sum of F(K) over the K inside J, and one subset-sum pass over the
-    bits of J_top minus S gives it for every J at once.  ``memo`` is
+def _oracle_values(w: MultiWeyl, S: BlockSet, extras: list, memo: dict) -> dict:
+    """{mask of J minus S: the oracle's value at (w, J, S)} for the masks
+    ``extras`` of J minus S, which must be those of every J between S
+    and some J_top.  Each K among them gives one signed generalized
+    Verma multiplicity F(K) = (-1)^{|K minus S|} m_K(w); the value at J
+    is the sum of F(K) over the K inside J, and one subset-sum pass over
+    the bits of J_top minus S gives it for every J at once.  ``memo`` is
     passed on to ``_parabolic_verma_mult``, so callers that pass one dict
     build each K's rows and per-component sums once.  One dict serves
     one (r, k)."""
+    s_mask = _mask(S.members)
     values = {}
     free = 0
-    for K, extra in labels:
-        m = _parabolic_verma_mult(S.r, S.k, K.members, w, memo)
+    for extra in extras:
+        m = _parabolic_verma_mult(S.r, S.k, s_mask | extra, w, memo)
         values[extra] = -m if extra.bit_count() % 2 else m
         free |= extra
     return _subset_sums(values, free)
@@ -274,13 +269,13 @@ class ConstituentLabel(_Frozen):
 
 def _label_groups(
     S: BlockSet, d_L: int, max_len: int | None
-) -> list[tuple[MultiWeyl, int, list[tuple[BlockSet, int]]]]:
+) -> list[tuple[MultiWeyl, int, list[int]]]:
     """The admissible labels grouped by w, in label order: (w, mask of
-    J_top, [(J, mask of J minus S), ...]), where J_top is S plus the
-    ascent blocks of w and the J are the block sets between S and J_top.
+    J_top, [mask of J minus S, ...]), where J_top is S plus the ascent
+    blocks of w and the J are the block sets between S and J_top.
     Labels sort by (length, one-line lex, sorted members of J), so each
-    w's labels are consecutive.  Each distinct J is built once per call
-    and shared by the labels that name it."""
+    w's labels are consecutive.  The w with the same ascent blocks share
+    one list of masks."""
     if d_L < 1:
         raise ValueError(f"d_L must be at least 1, got {d_L}")
     if max_len is not None and max_len < 0:
@@ -290,18 +285,19 @@ def _label_groups(
         if n > 6:
             raise BoundExceededError("max_len must be supplied for rank above 6")
         max_len = d_L * n * (n - 1) // 2
-    needed = S.inner_roots() | S.roots()
-    # Per representative: its length and the block indices among its
+    s_mask = _mask(S.members)
+    needed = _parabolic_roots(S.r, S.k, s_mask)
+    # Per representative: its length and the mask of the blocks among its
     # left ascents, computed once.
     reps = []
     for w in enumerate_group(n):
         ascents = left_ascents(w)
         if needed <= ascents:
-            blocks = frozenset(i for i in range(1, S.k) if i * S.r in ascents)
+            blocks = sum(1 << (i - 1) for i in range(1, S.k) if i * S.r in ascents)
             reps.append(((w,), length(w), blocks))
     # Tuples grow one embedding at a time; lengths are nonnegative, so a
     # prefix over max_len has no admissible extension.
-    combos = [((), 0, frozenset())]
+    combos = [((), 0, 0)]
     for _ in range(d_L):
         combos = [
             (combo + c, l_combo + l_c, b_combo | b_c)
@@ -311,48 +307,31 @@ def _label_groups(
         ]
     combos.sort(key=lambda c: (c[1], c[0]))
     # Per distinct set of ascent blocks: J_top's mask and the labels'
-    # block sets, each J interned in ``block_sets``.
-    block_sets: dict[frozenset[int], BlockSet] = {}
-    by_blocks: dict[frozenset[int], tuple[int, list]] = {}
-    groups = []
-    for combo, _, blocks in combos:
-        entry = by_blocks.get(blocks)
-        if entry is None:
-            entry = by_blocks[blocks] = (
-                _mask(S.members | blocks),
-                _labels_between(S, blocks - S.members, block_sets),
-            )
-        groups.append((combo, *entry))
-    return groups
+    # masks of J minus S, sorted by the members of J.
+    by_blocks: dict[int, tuple[int, list[int]]] = {}
+    for _, _, blocks in combos:
+        if blocks not in by_blocks:
+            extras = list(_supermasks(0, blocks & ~s_mask))
+            extras.sort(key=lambda e: sorted(_members(s_mask | e)))
+            by_blocks[blocks] = (s_mask | blocks, extras)
+    return [(combo, *by_blocks[blocks]) for combo, _, blocks in combos]
 
 
-def _labels_between(
-    S: BlockSet, extra: frozenset[int], block_sets: dict
-) -> list[tuple[BlockSet, int]]:
-    """[(J, mask of J minus S)] for every J between S and S plus the
-    blocks ``extra``, sorted by sorted members.  Each J is taken from
-    ``block_sets`` (members -> BlockSet), or built and put there."""
-    s_mask = _mask(S.members)
-    extra_sorted = sorted(extra)
-    member_sets = sorted(
-        (S.members.union(picked)
-         for t in range(len(extra_sorted) + 1)
-         for picked in itertools.combinations(extra_sorted, t)),
-        key=sorted,
-    )
-    labels = []
-    for members in member_sets:
-        J = block_sets.get(members)
-        if J is None:
-            J = block_sets[members] = BlockSet(S.r, S.k, members)
-        labels.append((J, _mask(members) & ~s_mask))
-    return labels
+def _block_set(S: BlockSet, extra: int, block_sets: dict) -> BlockSet:
+    """The J whose mask of J minus S is ``extra``, taken from
+    ``block_sets`` (extra -> J), or built and put there."""
+    J = block_sets.get(extra)
+    if J is None:
+        J = block_sets[extra] = BlockSet(S.r, S.k, S.members | _members(extra))
+    return J
 
 
 def _admissible_labels(
     S: BlockSet, d_L: int, max_len: int | None
 ) -> list[tuple[MultiWeyl, BlockSet]]:
-    return [(w, J) for w, _, labels in _label_groups(S, d_L, max_len) for J, _ in labels]
+    block_sets: dict[int, BlockSet] = {}
+    groups = _label_groups(S, d_L, max_len)
+    return [(w, _block_set(S, extra, block_sets)) for w, _, extras in groups for extra in extras]
 
 
 def enumerate_constituents(
@@ -370,10 +349,11 @@ def enumerate_constituents(
     >>> [(lab.w, sorted(lab.J.members), m) for lab, m in out if not lab.J.members]
     [(((1, 2, 3, 4),), [], 1), (((1, 3, 2, 4),), [], 1), (((3, 4, 1, 2),), [], 1)]
     """
+    block_sets: dict[int, BlockSet] = {}
     return [
-        (ConstituentLabel(w, J, S), m)
-        for w, labels, values in _formula_values(S, d_L, max_len)
-        for (J, _), m in zip(labels, values)
+        (ConstituentLabel(w, _block_set(S, extra, block_sets), S), m)
+        for w, extras, values in _formula_values(S, d_L, max_len)
+        for extra, m in zip(extras, values)
         if m != 0
     ]
 
@@ -396,11 +376,6 @@ def tits_differential_sign(K_prime: BlockSet, K: BlockSet) -> int:
     0
     """
     return _sign(_mask(K_prime.members), _mask(K.members))
-
-
-def _mask(members: frozenset[int]) -> int:
-    """Block set as an int: block index i is bit i - 1."""
-    return sum(1 << (i - 1) for i in members)
 
 
 def _sign(top: int, bot: int) -> int:
@@ -523,9 +498,9 @@ def analytic_tits_euler_check(
     True
     """
     oracle_memo: dict = {}
-    for w, labels, values in _formula_values(S, d_L, max_len):
-        oracle = _oracle_values(w, S, labels, oracle_memo)
-        for (_, extra), m in zip(labels, values):
+    for w, extras, values in _formula_values(S, d_L, max_len):
+        oracle = _oracle_values(w, S, extras, oracle_memo)
+        for extra, m in zip(extras, values):
             if m != oracle[extra]:
                 return False
     return True

@@ -187,6 +187,25 @@ def test_degree_below_one_exit_2(capsys, d_l):
     assert code == 2 and "d_L" in doc["error"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["jacquet", "--r", "0", "--k", "2"],
+        ["jacquet", "--r", "-1", "--k", "2"],
+        ["jacquet", "--r", "2", "--k", "0"],
+        ["weyl", "--n", "-2", "--w", "e"],
+        ["weyl", "--n", "0", "--w", "e"],
+        ["cosets", "--n", "0", "--I", "-", "--J", "-"],
+        ["kl", "--n", "0", "--x", "e", "--w", "e"],
+    ],
+    ids=["jacquet-r0", "jacquet-r-1", "jacquet-k0", "weyl-n-2", "weyl-n0", "cosets-n0", "kl-n0"],
+)
+def test_nonpositive_rank_exit_2(capsys, argv):
+    code, doc = run(capsys, *argv)
+    assert code == 2 and list(doc) == ["error"]
+    assert "must be positive" in doc["error"]
+
+
 def test_negative_max_len_exit_2(capsys):
     code, doc = run(capsys, "steinberg-mult", "--r", "2", "--k", "2", "--S", "-", "--max-len", "-1")
     assert code == 2 and "max_len" in doc["error"]

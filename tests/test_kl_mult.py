@@ -66,8 +66,10 @@ def test_kl_suite_s4():
                     assert kl_poly(sx, w) == p
 
 
-def test_kl_anchor_4231():
-    assert kl_poly(identity(4), (4, 2, 3, 1)) == (1, 1)
+@pytest.mark.parametrize("w", [(4, 2, 3, 1), (3, 4, 1, 2)], ids=["4231", "3412"])
+def test_kl_anchor_4231(w):
+    # The two singular Schubert varieties of S4: P_{e,w} = 1 + q.
+    assert kl_poly(identity(4), w) == (1, 1)
 
 
 def conjugate_by_w0(w):

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 
 import pytest
 
@@ -13,6 +15,7 @@ from parastein.kl_mult import (
 from parastein.steinberg_mult import (
     GrothVector,
     _admissible_labels,
+    _check_preconditions,
     _label_groups,
     _mask,
     _oracle_values,
@@ -36,6 +39,11 @@ from parastein.weyl_core import (
 def all_blocksets(r, k):
     for mask in range(1 << (k - 1)):
         yield BlockSet(r, k, frozenset(i + 1 for i in range(k - 1) if mask >> i & 1))
+
+
+def label_J(S, extra):
+    """The block set J whose mask of J minus S is ``extra``."""
+    return BlockSet(S.r, S.k, S.members | {b + 1 for b in range(S.k - 1) if extra >> b & 1})
 
 
 GL4_SIX = [
@@ -137,8 +145,8 @@ def test_enumerate_constituents_matches_per_label():
     # enumerate_constituents folds each w once, over J_top, and reads
     # every J of w off that fold; each answer must match a fresh
     # per-label computation, which folds over the label's own J.  Every S
-    # is taken, so the sum over the submasks T of S has more than one
-    # term, and (2,3,1), (3,2,2) have r > 1.
+    # is taken, so the tables' keys are projected off a nonempty S, and
+    # (2,3,1), (3,2,2) have r > 1.
     for r, k, d_L in [(2, 2, 2), (1, 4, 2), (2, 3, 1), (3, 2, 2)]:
         for S in all_blocksets(r, k):
             got = [(lab.w, lab.J, m) for lab, m in enumerate_constituents(S, d_L)]
@@ -152,19 +160,61 @@ def test_enumerate_constituents_matches_per_label():
 
 def test_label_groups_fold_over_the_union_of_their_labels():
     # J_top is S plus the ascent blocks of w, which is the largest J
-    # among w's labels; each J is built once per call.
+    # among w's labels; the labels are masks of J minus S, in the order
+    # of the sorted members of J, one list per distinct J_top.
     for r, k, d_L in [(1, 4, 2), (2, 3, 1)]:
         for S in all_blocksets(r, k):
+            s_mask = _mask(S.members)
             groups = _label_groups(S, d_L, None)
-            seen = {}
-            for w, top, labels in groups:
-                assert top == _mask(frozenset().union(*(J.members for J, _ in labels)))
-                for J, extra in labels:
-                    assert extra == _mask(J.members - S.members)
-                    assert seen.setdefault(J.members, J) is J
-            assert [(w, J) for w, _, labels in groups for J, _ in labels] == (
+            lists = {}
+            for w, top, extras in groups:
+                assert top == s_mask | functools.reduce(operator.or_, extras)
+                assert all(extra & s_mask == 0 for extra in extras)
+                assert extras == sorted(extras, key=lambda e: sorted(label_J(S, e).members))
+                assert lists.setdefault(top, extras) is extras
+            assert [(w, label_J(S, e)) for w, _, extras in groups for e in extras] == (
                 _admissible_labels(S, d_L, None)
             )
+
+
+@pytest.mark.parametrize("r, k, d_L", [(1, 4, 2), (2, 3, 1), (3, 2, 2)])
+def test_generated_labels_pass_the_preconditions(r, k, d_L):
+    # _formula_values does not check its labels; every label that
+    # _label_groups yields must pass the single-label checks.
+    for S in all_blocksets(r, k):
+        for w, _, extras in _label_groups(S, d_L, None):
+            for extra in extras:
+                _check_preconditions(w, label_J(S, extra), S)
+
+
+def count_block_sets(monkeypatch):
+    """Patch BlockSet.__init__ to record each construction; return the
+    list of the members of the block sets built."""
+    init = BlockSet.__init__
+    built = []
+
+    def counting(self, r, k, members=frozenset()):
+        built.append(frozenset(members))
+        init(self, r, k, members)
+
+    monkeypatch.setattr(BlockSet, "__init__", counting)
+    return built
+
+
+def test_analytic_euler_check_builds_no_block_set(monkeypatch):
+    S = BlockSet(1, 4)
+    built = count_block_sets(monkeypatch)
+    assert analytic_tits_euler_check(S, 2)
+    assert built == []
+
+
+def test_enumerate_constituents_builds_one_block_set_per_J(monkeypatch):
+    for r, k, d_L in [(1, 4, 2), (2, 2, 2), (2, 3, 1)]:
+        for S in all_blocksets(r, k):
+            with monkeypatch.context() as m:
+                built = count_block_sets(m)
+                out = enumerate_constituents(S, d_L)
+            assert len(built) == len(set(built)) <= len({lab.J for lab, _ in out})
 
 
 def test_shared_oracle_memo_matches_fresh_oracle():
@@ -174,10 +224,10 @@ def test_shared_oracle_memo_matches_fresh_oracle():
     for r, k, d_L in [(2, 2, 2), (1, 4, 2)]:
         for S in all_blocksets(r, k):
             memo = {}
-            for w, _, labels in _label_groups(S, d_L, None):
-                values = _oracle_values(w, S, labels, memo)
-                for J, extra in labels:
-                    assert values[extra] == steinberg_multiplicity_oracle(w, J, S)
+            for w, _, extras in _label_groups(S, d_L, None):
+                values = _oracle_values(w, S, extras, memo)
+                for extra in extras:
+                    assert values[extra] == steinberg_multiplicity_oracle(w, label_J(S, extra), S)
 
 
 def inclusion_exclusion(w, J, S, memo):
@@ -187,7 +237,7 @@ def inclusion_exclusion(w, J, S, memo):
     total = 0
     for t in range(len(extra) + 1):
         for picked in itertools.combinations(extra, t):
-            m = _parabolic_verma_mult(J.r, J.k, S.members.union(picked), w, memo)
+            m = _parabolic_verma_mult(J.r, J.k, _mask(S.members.union(picked)), w, memo)
             total += -m if t % 2 else m
     return total
 
@@ -201,11 +251,11 @@ def test_oracle_transform_matches_inclusion_exclusion(r, k, d_L):
     # own inclusion-exclusion, for every S; no cap on the length.
     for S in all_blocksets(r, k):
         memo, brute_memo = {}, {}
-        for w, _, labels in _label_groups(S, d_L, None):
-            values = _oracle_values(w, S, labels, memo)
-            assert len(values) == len(labels)
-            for J, extra in labels:
-                assert values[extra] == inclusion_exclusion(w, J, S, brute_memo)
+        for w, _, extras in _label_groups(S, d_L, None):
+            values = _oracle_values(w, S, extras, memo)
+            assert len(values) == len(extras)
+            for extra in extras:
+                assert values[extra] == inclusion_exclusion(w, label_J(S, extra), S, brute_memo)
 
 
 def test_single_label_oracle_matches_inclusion_exclusion():
@@ -387,7 +437,7 @@ def test_analytic_euler_check_envelope():
 @pytest.mark.parametrize("r, k, d_L", [(3, 2, 1), (3, 2, 2), (2, 3, 1)])
 def test_analytic_euler_check_rank_6(r, k, d_L):
     # Formula against oracle on every label of the rank-6 shapes, for
-    # every S; nonempty S exercises the sum over the submasks of S.
+    # every S; nonempty S exercises the tables projected off S.
     for S in all_blocksets(r, k):
         assert analytic_tits_euler_check(S, d_L)
 

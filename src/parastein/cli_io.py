@@ -12,7 +12,8 @@ each failure with {"error": ...} on stdout:
 - 2 bad input: a usage error or a failed precondition, such as a rank
   below 1;
 - 3 a resource bound was exceeded, such as the enumeration bound, the
-  KL memo cap, or a constituent listing above rank 6 without --max-len;
+  KL memo cap, the label bound, or a constituent listing above rank 6
+  without --max-len;
 - 4 a selftest invariant failed; the document also carries "check", the
   name of the failed check.
 """

@@ -11,7 +11,6 @@ all live here.
 from __future__ import annotations
 
 from .weyl_core import (
-    DEFAULT_ENUM_BOUND,
     Perm,
     _Frozen,
     blocks_of_rootset,
@@ -144,7 +143,6 @@ def min_double_coset_reps(
     n: int,
     I_roots: frozenset[int] | set[int],
     J_roots: frozenset[int] | set[int],
-    bound: int = DEFAULT_ENUM_BOUND,
 ) -> list[Perm]:
     """Minimal-length double-coset representatives, sorted by
     (length, one-line lex).
@@ -158,7 +156,7 @@ def min_double_coset_reps(
     >>> len(min_double_coset_reps(4, {1, 3}, {1, 3}))
     3
     """
-    reps = [w for w in enumerate_group(n, bound) if is_min_rep(w, I_roots, J_roots)]
+    reps = [w for w in enumerate_group(n) if is_min_rep(w, I_roots, J_roots)]
     reps.sort(key=lambda w: (length(w), w))
     return reps
 

@@ -20,7 +20,6 @@ from .weyl_core import (
     bruhat_downset,
     bruhat_leq,
     enumerate_parabolic,
-    left_descents,
     length,
     multiply,
     simple_reflection,
@@ -102,11 +101,12 @@ def kl_poly(x: Perm, w: Perm) -> Poly:
 def _kl(x: Perm, w: Perm, cap: int | None = ...) -> Poly:
     """P_{x,w} through the memo table, which may hold at most ``cap``
     entries (None: no cap).  By default the cap is read from
-    PARASTEIN_KL_CACHE_CAP at the first memo miss, and the recursion
-    passes the value down, so each ``kl_poly`` or ``kl_mu`` call (the
-    recursion's own ``kl_mu`` calls included) reads it at most once.
+    PARASTEIN_KL_CACHE_CAP at the first memo miss and passed down, so a
+    public call reads it once if it misses the memo and never on a hit.
     The cap is checked where an entry is inserted, so frames that
-    recursed before the memo filled cannot push it past the cap."""
+    recursed before the memo filled cannot push it past the cap.  Every
+    left descent is tested by index: i descends on y exactly when
+    y^{-1}(i) > y^{-1}(i + 1)."""
     key = (x, w)
     cached = _kl_cache.get(key)
     if cached is not None:
@@ -119,11 +119,12 @@ def _kl(x: Perm, w: Perm, cap: int | None = ...) -> Poly:
         result = ZERO
     else:
         n = len(w)
-        s_idx = min(left_descents(w))
+        s_idx = next(i for i in range(1, n) if w.index(i) > w.index(i + 1))
         s = simple_reflection(s_idx, n)
         sx = multiply(s, x)
-        if length(sx) > length(x):
-            # left-descent invariance: P_{x,w} = P_{sx,w}
+        if x.index(s_idx) < x.index(s_idx + 1):
+            # s ascends on x, so l(sx) > l(x) and by left-descent
+            # invariance P_{x,w} = P_{sx,w}
             result = _kl(sx, w, cap)
         else:
             v = multiply(s, w)  # shorter by one
@@ -133,14 +134,15 @@ def _kl(x: Perm, w: Perm, cap: int | None = ...) -> Poly:
                 lz = length(z)
                 if (lw - lz) % 2:  # l(v) - l(z) even, as l(v) = l(w) - 1
                     continue
-                # s_idx is a left descent of z: z^{-1}(s) > z^{-1}(s + 1)
                 if z.index(s_idx) < z.index(s_idx + 1):
                     continue
                 if not bruhat_leq(x, z):
                     continue
-                m = kl_mu(z, v)
-                if m:
-                    result = poly_sub_scaled(result, _kl(x, z, cap), m, (lw - lz) // 2)
+                # mu(z, v): the coefficient of q^{(l(v) - l(z) - 1)/2} in P_{z,v}
+                target = (lw - lz) // 2 - 1
+                p = _kl(z, v, cap)
+                if target < len(p) and p[target]:
+                    result = poly_sub_scaled(result, _kl(x, z, cap), p[target], target + 1)
     if cap is not None and len(_kl_cache) >= cap:
         raise BoundExceededError(
             f"KL memo table exceeded the configured cap of {cap} entries"
@@ -204,6 +206,10 @@ def parabolic_verma_mult(K: BlockSet, w: MultiWeyl) -> int:
     >>> parabolic_verma_mult(K, ((2, 1, 3, 4),))
     0
     """
+    n = K.n
+    for comp in w:
+        if len(comp) != n:
+            raise ValueError(f"component rank {len(comp)} != {n}")
     return _parabolic_verma_mult(K.r, K.k, _mask(K.members), w, {})
 
 
@@ -212,15 +218,12 @@ def _parabolic_verma_mult(r: int, k: int, mask: int, w: MultiWeyl, memo: dict) -
     ``mask`` (block i is bit i - 1), with ``memo`` keeping the rows
     (u, l(u) mod 2) of each parabolic and each per-component alternating
     sum, so callers that pass one dict build each of them once.  Keys
-    hold the mask but not the shape: one dict serves one (r, k)."""
-    n = r * k
-    for comp in w:
-        if len(comp) != n:
-            raise ValueError(f"component rank {len(comp)} != {n}")
+    hold the mask but not the shape: one dict serves one (r, k).  Every
+    component must have rank r * k; callers check it at the boundary."""
     par = memo.get(mask)
     if par is None:
         roots = _parabolic_roots(r, k, mask)
-        par = memo[mask] = [(u, length(u) % 2) for u in enumerate_parabolic(n, roots)]
+        par = memo[mask] = [(u, length(u) % 2) for u in enumerate_parabolic(r * k, roots)]
     out = 1
     for comp in w:
         acc = memo.get((mask, comp))

@@ -69,9 +69,7 @@ def jacquet_twists(w: Perm, r: int) -> tuple[Fraction, ...]:
     )
 
 
-def jacquet_decomposition(
-    r: int, k: int, bound: int = DEFAULT_ENUM_BOUND
-) -> list[tuple[Perm, tuple[Fraction, ...]]]:
+def jacquet_decomposition(r: int, k: int) -> list[tuple[Perm, tuple[Fraction, ...]]]:
     """All k! Weyl twists of the base tuple, in lexicographic order of w.
 
     >>> jacquet_decomposition(1, 1)
@@ -81,7 +79,7 @@ def jacquet_decomposition(
     """
     if r < 1 or k < 1:
         raise ValueError("r and k must be positive")
-    return [(w, jacquet_twists(w, r)) for w in enumerate_group(k, bound)]
+    return [(w, jacquet_twists(w, r)) for w in enumerate_group(k)]
 
 
 def pi_I_segments(r: int, k: int, I: BlockSet) -> list[Segment]:
@@ -130,7 +128,7 @@ def format_orientation(arrows: tuple[bool, ...]) -> str:
     return "".join(">" if a else "<" for a in arrows)
 
 
-def theta_fiber(I: BlockSet, bound: int = DEFAULT_ENUM_BOUND) -> list[Perm]:
+def theta_fiber(I: BlockSet) -> list[Perm]:
     """All w in S_k whose left-ascent set {i : w^{-1}(i) < w^{-1}(i+1)}
     equals the members of I; the fibers over all I partition S_k.
 
@@ -139,7 +137,7 @@ def theta_fiber(I: BlockSet, bound: int = DEFAULT_ENUM_BOUND) -> list[Perm]:
     >>> theta_fiber(BlockSet(1, 2, frozenset({1})))
     [(1, 2)]
     """
-    return [w for w in enumerate_group(I.k, bound) if left_ascents(w) == I.members]
+    return [w for w in enumerate_group(I.k) if left_ascents(w) == I.members]
 
 
 def jh_factors(r: int, k: int) -> list[BlockSet]:

@@ -11,21 +11,23 @@ generation through both routes; ``BlockSet``s are built only at the
 public boundary.  A label (w, J) of the module attached to S travels as
 w and the mask of J minus S.  Within one ``analytic_tits_euler_check``
 call each w is handled once: the formula OR-folds its components'
-tables, keyed by outer support minus S, over J_top and reads each label
-with one lookup; the oracle sums its signed generalized Verma
-multiplicities over every K between S and J_top by one subset-sum
-transform.  Each route keeps its own per-call dict, so a value is
-computed once per call but never passed from one route to the other,
-and the check stays independent.  The smooth Euler check is the same
-transform on a signed indicator, and ``check_complex_squares_zero``
-keeps its signs as int bitsets.  ``GrothVector``, a finitely supported
-integer-valued function on opaque labels, is kept for callers; no check
-uses it.
+tables, keyed by outer support minus S, and reads each label with one
+lookup.  It builds one table per component per call, over the largest
+J_top among the w that hold that component, which answers every smaller
+J_top.  The oracle sums its signed generalized Verma multiplicities over
+every K between S and J_top by one subset-sum transform.  Each route
+keeps its own per-call dict, so a value is computed once per call but
+never passed from one route to the other, and the check stays
+independent.  The smooth Euler check is the same transform on a signed
+indicator, and ``check_complex_squares_zero`` keeps its signs as int
+bitsets.  ``GrothVector``, a finitely supported integer-valued function
+on opaque labels, is kept for callers; no check uses it.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 
 from .cosets import BlockSet, _mask, _members, _parabolic_roots
 from .kl_mult import _parabolic_verma_mult, kl_poly, poly_eval_one
@@ -40,6 +42,14 @@ from .weyl_core import (
     length,
     support,
 )
+
+
+# The most w that one label listing holds; each step of the list is counted
+# before it is built.  On a shared 2-vCPU Intel Xeon host (CPython 3.11.7),
+# (r, k, d_L) = (1, 4, 4) has 331,776 w, built in 1.1 s within 89 MB, and
+# (1, 5, 3) has 1,728,000 w and 21 million labels, built in 9.6 s and 375 MB
+# before any check ran.  2^20 admits the first and rejects the second.
+MAX_LABEL_WS = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +153,9 @@ def steinberg_multiplicity(w: MultiWeyl, J: BlockSet, S: BlockSet) -> int:
     on the inner roots plus J are the u of the one on the inner roots
     plus J' whose outer support lies in J, and an OR of masks lies in J
     exactly when each mask does.  So ``enumerate_constituents`` and
-    ``analytic_tits_euler_check`` fold each w once, over J_top = S plus
-    the ascent blocks of w, and read every label (w, J) off that fold.
+    ``analytic_tits_euler_check`` fold each w once, with tables over
+    J_top = S plus the ascent blocks of w or over a larger top (see
+    ``_component_table``), and read every label (w, J) off that fold.
     This function folds over its own J.
 
     >>> from .cosets import BlockSet
@@ -165,10 +176,16 @@ def steinberg_multiplicity(w: MultiWeyl, J: BlockSet, S: BlockSet) -> int:
 def _component_table(comp: Perm, S: BlockSet, top: int, memo: dict) -> dict:
     """{outer mask minus S: sum of (-1)^{l(u)} P_{u,comp}(1)} over u in
     the parabolic on the inner roots plus the blocks of the mask ``top``.
-    ``memo`` keeps the rows of each parabolic and each table, so callers
-    that pass one dict share them across labels.  The keys hold neither
-    S nor its shape: one dict serves one S."""
-    table = memo.get((comp, top))
+    ``memo`` keeps the rows of each parabolic and one table per
+    component, so callers that pass one dict share them across labels.
+    The keys hold neither S nor its shape: one dict serves one S.
+
+    A table is built over the ``top`` of the first fold that asks for it;
+    later folds read only masks inside their own tops, which are no
+    larger (see ``steinberg_multiplicity``): in label order a component
+    first comes in (comp,) at d_L = 1, its only w, and at d_L >= 2 in
+    (e, ..., e, comp), whose top is every block."""
+    table = memo.get(comp)
     if table is not None:
         return table
     rows = memo.get(top)
@@ -183,13 +200,13 @@ def _component_table(comp: Perm, S: BlockSet, top: int, memo: dict) -> dict:
         val = poly_eval_one(kl_poly(u, comp))
         if val:
             table[outer] = table.get(outer, 0) + (-val if parity else val)
-    memo[comp, top] = table
+    memo[comp] = table
     return table
 
 
 def _fold(w: MultiWeyl, S: BlockSet, top: int, memo: dict) -> dict:
-    """G: the OR-convolution of the components' ``_component_table``s
-    over the mask ``top``."""
+    """G: the OR-convolution of the components' ``_component_table``s,
+    each over the mask ``top`` or a larger one."""
     folded = {0: 1}
     for comp in w:
         step: dict = {}
@@ -275,7 +292,8 @@ def _label_groups(
     blocks of w and the J are the block sets between S and J_top.
     Labels sort by (length, one-line lex, sorted members of J), so each
     w's labels are consecutive.  The w with the same ascent blocks share
-    one list of masks."""
+    one list of masks.  More than ``MAX_LABEL_WS`` w raise
+    ``BoundExceededError`` before the list is built."""
     if d_L < 1:
         raise ValueError(f"d_L must be at least 1, got {d_L}")
     if max_len is not None and max_len < 0:
@@ -295,10 +313,15 @@ def _label_groups(
         if needed <= ascents:
             blocks = sum(1 << (i - 1) for i in range(1, S.k) if i * S.r in ascents)
             reps.append(((w,), length(w), blocks))
+    rep_lengths = sorted(l_c for _, l_c, _ in reps)
     # Tuples grow one embedding at a time; lengths are nonnegative, so a
-    # prefix over max_len has no admissible extension.
+    # prefix over max_len has no admissible extension.  Each step is
+    # counted before it is built, so no list grows past the label bound.
     combos = [((), 0, 0)]
     for _ in range(d_L):
+        size = sum(bisect_right(rep_lengths, max_len - l_combo) for _, l_combo, _ in combos)
+        if size > MAX_LABEL_WS:
+            raise BoundExceededError(f"more than {MAX_LABEL_WS} w to list exceeds the label bound")
         combos = [
             (combo + c, l_combo + l_c, b_combo | b_c)
             for combo, l_combo, b_combo in combos
@@ -488,8 +511,8 @@ def analytic_tits_euler_check(
     subset-sum transform of its signed generalized Verma multiplicities
     over the K between S and J_top (``_oracle_values``); the two are
     then compared label by label.  The formula and the oracle each keep
-    their own dict for the whole call: the formula's holds its
-    ``_component_table``s, the oracle's its per-K rows and
+    their own dict for the whole call: the formula's holds one
+    ``_component_table`` per component, the oracle's its per-K rows and
     per-(K, component) alternating sums.  No entry passes from one route
     to the other, so each label's two integers are still computed
     independently.

@@ -237,7 +237,7 @@ def longest_element(n: int, roots: frozenset[int] | set[int]) -> Perm:
     return tuple(p for block in blocks_of_rootset(n, roots) for p in reversed(block))
 
 
-def enumerate_group(n: int, bound: int = DEFAULT_ENUM_BOUND) -> list[Perm]:
+def enumerate_group(n: int) -> list[Perm]:
     """All of S_n in lexicographic one-line order.
 
     >>> enumerate_group(1)
@@ -245,14 +245,12 @@ def enumerate_group(n: int, bound: int = DEFAULT_ENUM_BOUND) -> list[Perm]:
     >>> len(enumerate_group(3))
     6
     """
-    if n > bound:
-        raise BoundExceededError(f"rank {n} exceeds enumeration bound {bound}")
+    if n > DEFAULT_ENUM_BOUND:
+        raise BoundExceededError(f"rank {n} exceeds enumeration bound {DEFAULT_ENUM_BOUND}")
     return [tuple(p) for p in itertools.permutations(range(1, n + 1))]
 
 
-def enumerate_parabolic(
-    n: int, roots: frozenset[int] | set[int], bound: int = DEFAULT_ENUM_BOUND
-) -> list[Perm]:
+def enumerate_parabolic(n: int, roots: frozenset[int] | set[int]) -> list[Perm]:
     """All elements of the parabolic subgroup generated by {s_i : i in roots},
     in lexicographic one-line order.  The parabolic permutes each block of
     ``blocks_of_rootset`` independently, and the blocks are consecutive
@@ -264,8 +262,8 @@ def enumerate_parabolic(
     >>> len(enumerate_parabolic(4, {1, 3}))
     4
     """
-    if n > bound:
-        raise BoundExceededError(f"rank {n} exceeds enumeration bound {bound}")
+    if n > DEFAULT_ENUM_BOUND:
+        raise BoundExceededError(f"rank {n} exceeds enumeration bound {DEFAULT_ENUM_BOUND}")
     per_block = [itertools.permutations(b) for b in blocks_of_rootset(n, roots)]
     return [
         tuple(itertools.chain.from_iterable(parts)) for parts in itertools.product(*per_block)

@@ -179,6 +179,21 @@ def test_labels_above_rank_6_exit_3(capsys):
     assert code == 3 and "max_len" in doc["error"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("steinberg-mult", "--r", "1", "--k", "3", "--dL", "30", "--S", "-"),
+        ("steinberg-mult", "--r", "1", "--k", "5", "--dL", "4", "--S", "-"),
+        ("tits-check", "--analytic", "--r", "1", "--k", "3", "--dL", "30"),
+        ("tits-check", "--analytic", "--r", "1", "--k", "5", "--dL", "4"),
+    ],
+)
+def test_labels_above_label_bound_exit_3(capsys, argv):
+    # 6^30 and 120^4 w: the bound must stop the listing before it is built.
+    code, doc = run(capsys, *argv)
+    assert code == 3 and "label bound" in doc["error"]
+
+
 @pytest.mark.parametrize("d_l", ["0", "-3"])
 def test_degree_below_one_exit_2(capsys, d_l):
     code, doc = run(capsys, "steinberg-mult", "--r", "2", "--k", "2", "--dL", d_l, "--S", "-")

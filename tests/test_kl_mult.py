@@ -151,6 +151,15 @@ def test_parabolic_verma_nonnegative_envelope():
                 assert parabolic_verma_mult(K, (w,)) >= 0
 
 
+def test_parabolic_verma_checks_every_rank_first():
+    # The first component's alternating sum is 0, so a check made per
+    # component on the way would return 0 before it saw the bad rank.
+    K = BlockSet(2, 2)
+    assert parabolic_verma_mult(K, ((2, 1, 3, 4),)) == 0
+    with pytest.raises(ValueError, match="rank"):
+        parabolic_verma_mult(K, ((2, 1, 3, 4), (1, 2, 3)))
+
+
 def test_parabolic_verma_full_parabolic_is_simple_indicator():
     # when K exhausts the block roots the parabolic is the full group and
     # the module is simple: multiplicity 1 at the identity only among
@@ -184,21 +193,45 @@ def test_kl_cache_unset_cap_means_no_cap(monkeypatch):
 
 
 def test_kl_cache_cap_read_at_most_once_per_public_call(monkeypatch):
-    # The recursion's own kl_mu calls are public calls too, so each of
-    # them may read the cap once more, but a miss alone does not.
-    reads, mu_calls = [], []
-    real_cap, real_mu = kl_mult._cache_cap, kl_mult.kl_mu
+    # The recursion passes the cap down: one read per public call that
+    # misses the memo, however deep it recurses, and none on a hit.
+    reads = []
+    real_cap = kl_mult._cache_cap
     monkeypatch.setattr(kl_mult, "_cache_cap", lambda: reads.append(1) or real_cap())
-    monkeypatch.setattr(kl_mult, "kl_mu", lambda z, v: mu_calls.append(1) or real_mu(z, v))
     kl_cache_clear()
     kl_poly(identity(5), W0_5)
-    assert 1 <= len(reads) <= 1 + len(mu_calls)
-    assert len(reads) < kl_cache_size()
-    before, mu_before = len(reads), len(mu_calls)
-    kl_mult.kl_mu(identity(5), (4, 5, 3, 2, 1))
-    assert before < len(reads) <= before + len(mu_calls) - mu_before
+    assert len(reads) == 1 and kl_cache_size() > 1
+    v = (4, 5, 3, 2, 1)
+    assert (identity(5), v) not in kl_mult._kl_cache
+    kl_mult.kl_mu(identity(5), v)
+    assert len(reads) == 2
     # Memo hits read nothing.
-    before = len(reads)
     kl_poly(identity(5), W0_5)
-    kl_mult.kl_mu(identity(5), (4, 5, 3, 2, 1))
-    assert len(reads) == before
+    kl_mult.kl_mu(identity(5), v)
+    assert len(reads) == 2
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_kl_inversion_formula(n):
+    # Kazhdan-Lusztig 1979, (3.1): for x <= w,
+    # sum over x <= z <= w of (-1)^{l(x)+l(z)} P_{x,z} P_{w0 w, w0 z}
+    # is 1 if x = w and 0 otherwise.  Every entry meets the others, so
+    # one wrong coefficient shows.
+    w0 = tuple(range(n, 0, -1))
+    group = enumerate_group(n)
+    pairs = 0
+    for w in group:
+        interval = [z for z in group if bruhat_leq(z, w)]
+        dual = {z: kl_poly(multiply(w0, w), multiply(w0, z)) for z in interval}
+        for x in interval:
+            total = [0] * (length(w) - length(x) + 1)
+            for z in interval:
+                if not bruhat_leq(x, z):
+                    continue
+                sign = -1 if (length(x) + length(z)) % 2 else 1
+                for i, a in enumerate(kl_poly(x, z)):
+                    for j, b in enumerate(dual[z]):
+                        total[i + j] += sign * a * b
+            assert total == [int(x == w)] + [0] * (len(total) - 1), (x, w)
+            pairs += 1
+    assert pairs == {4: 213, 5: 3781}[n]

@@ -28,6 +28,7 @@ from parastein.steinberg_mult import (
     tits_differential_sign,
 )
 from parastein.weyl_core import (
+    BoundExceededError,
     bruhat_leq,
     enumerate_parabolic,
     identity,
@@ -185,6 +186,40 @@ def test_generated_labels_pass_the_preconditions(r, k, d_L):
         for w, _, extras in _label_groups(S, d_L, None):
             for extra in extras:
                 _check_preconditions(w, label_J(S, extra), S)
+
+
+@pytest.mark.parametrize("r, k, d_L", [(1, 4, 2), (2, 2, 3)])
+@pytest.mark.parametrize("route", ["analytic_tits_euler_check", "enumerate_constituents"])
+def test_formula_asks_each_kl_value_once_per_call(monkeypatch, r, k, d_L, route):
+    # One table per component per call: a component met again under a
+    # smaller J_top reuses its first table instead of asking for the
+    # P_{u,comp} of the smaller parabolic again.
+    asked = []
+    monkeypatch.setattr(
+        steinberg_mult, "kl_poly", lambda u, comp: asked.append((u, comp)) or kl_poly(u, comp)
+    )
+    for S in all_blocksets(r, k):
+        asked.clear()
+        getattr(steinberg_mult, route)(S, d_L)
+        assert asked and len(asked) == len(set(asked))
+
+
+def test_label_bound_stops_the_listing_before_it_is_built():
+    # 6^30 and 120^4 w: each call must raise at once.
+    with pytest.raises(BoundExceededError, match="label bound"):
+        enumerate_constituents(BlockSet(1, 3), 30)
+    with pytest.raises(BoundExceededError, match="label bound"):
+        analytic_tits_euler_check(BlockSet(1, 5), 4)
+
+
+def test_label_bound_admits_exactly_its_size(monkeypatch):
+    # (1,4,2) with S empty lists 24^2 = 576 w.
+    S = BlockSet(1, 4)
+    monkeypatch.setattr(steinberg_mult, "MAX_LABEL_WS", 576)
+    assert len(_label_groups(S, 2, None)) == 576
+    monkeypatch.setattr(steinberg_mult, "MAX_LABEL_WS", 575)
+    with pytest.raises(BoundExceededError, match="label bound"):
+        _label_groups(S, 2, None)
 
 
 def count_block_sets(monkeypatch):

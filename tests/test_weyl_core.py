@@ -262,5 +262,5 @@ def test_enumerate_parabolic_bound():
     with pytest.raises(BoundExceededError):
         enumerate_parabolic(10, frozenset(range(1, 10)))
     with pytest.raises(BoundExceededError):
-        enumerate_parabolic(4, {1}, bound=3)
-    assert len(enumerate_parabolic(4, {1}, bound=4)) == 2
+        enumerate_parabolic(10, {1})
+    assert len(enumerate_parabolic(9, {1})) == 2

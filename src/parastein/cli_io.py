@@ -54,17 +54,6 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, separators=(",", ":")) + "\n")
 
 
-def _parse_roots(text: str, n: int) -> frozenset[int]:
-    text = text.strip()
-    if text == "-" or text == "":
-        return frozenset()
-    roots = frozenset(int(t) for t in text.split(","))
-    bad = [i for i in roots if not 1 <= i <= n - 1]
-    if bad:
-        raise ValueError(f"roots {bad} out of range 1..{n - 1}")
-    return roots
-
-
 def _parse_multiweyl(text: str, n: int, d_L: int) -> MultiWeyl:
     parts = [p for p in text.split(";") if p.strip()]
     if len(parts) == 1 and d_L > 1:
@@ -82,16 +71,8 @@ def _parse_rep(text: str, k: int) -> ext_calc.RepDescriptor:
         raise ValueError(f"malformed rep descriptor: {text!r}")
     tag, rest = text.split(":", 1)
     if tag in ("i", "v", "levi"):
-        members = (
-            frozenset()
-            if rest.strip() in ("-", "")
-            else frozenset(int(t) for t in rest.split(","))
-        )
-        bad = [i for i in members if not 1 <= i <= k - 1]
-        if bad:
-            raise ValueError(f"block indices {bad} out of range 1..{k - 1}")
         kind = {"i": "ind", "v": "steinberg", "levi": "levi-self"}[tag]
-        return ext_calc.RepDescriptor(kind, members)
+        return ext_calc.RepDescriptor(kind, parse_blockset(rest, 1, k).members)
     if tag in ("sigma", "c"):
         if "@" in rest:
             idx_text, sig_text = rest.split("@", 1)
@@ -120,8 +101,8 @@ def weyl_cmd(n: int, w_text: str) -> None:
 
 
 def cosets_cmd(n: int, i_text: str, j_text: str, matrices: bool) -> None:
-    I = _parse_roots(i_text, n)
-    J = _parse_roots(j_text, n)
+    I = parse_blockset(i_text, 1, n).members
+    J = parse_blockset(j_text, 1, n).members
     reps = min_double_coset_reps(n, I, J)
     doc: dict = {
         "count": len(reps),

@@ -209,21 +209,12 @@ def block_restrict(w: Perm, r: int) -> Perm | None:
     >>> block_restrict((1, 3, 2, 4), 2) is None
     True
     """
-    n = len(w)
-    if n % r != 0:
+    if len(w) % r != 0:
         return None
-    k = n // r
-    small = []
-    for i in range(1, k + 1):
-        base = w[(i - 1) * r]
-        if (base - 1) % r != 0:
-            return None
-        wi = (base - 1) // r + 1
-        for l in range(1, r + 1):
-            if w[(i - 1) * r + l - 1] != (wi - 1) * r + l:
-                return None
-        small.append(wi)
-    return tuple(small)
+    # The candidate is read off the first entry of each block; w is an
+    # embedding exactly when it is the candidate's.
+    small = tuple((base - 1) // r + 1 for base in w[::r])
+    return small if block_embed(small, r) == w else None
 
 
 def is_in_W_IJ(w: Perm, I: BlockSet, J: BlockSet) -> bool:

@@ -150,7 +150,7 @@ def _full(k: int) -> frozenset[int]:
 
 
 def _is_two_block(members: frozenset[int], k: int) -> bool:
-    return num_blocks(members, k) == 2 and len(members) == k - 2
+    return num_blocks(members, k) == 2
 
 
 def _analytic_e_dim(

@@ -2,7 +2,10 @@
 
 Polynomials in the formal variable q are stored as tuples of integer
 coefficients, index = power, trailing zeros trimmed.  ``kl_poly`` runs
-the standard left-descent recursion with a shared memo table;
+the standard left-descent recursion with a shared memo table.  Where a
+left descent s of w is also one of x, ``_kl`` sums P_{sx,sw}, q P_{x,sw}
+and the mu-terms into one list of l(w) // 2 + 1 coefficients, long
+enough for every term, and trims it once;
 ``verma_mult`` evaluates at q = 1 and multiplies over embeddings;
 ``parabolic_verma_mult`` applies the alternating character formula over
 a parabolic subgroup.
@@ -44,31 +47,6 @@ def poly_trim(coeffs: list[int]) -> Poly:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
-
-
-def poly_add(a: Poly, b: Poly) -> Poly:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return poly_trim(out)
-
-
-def poly_sub_scaled(a: Poly, b: Poly, scalar: int, shift: int) -> Poly:
-    """a - scalar * q^shift * b."""
-    out = [0] * max(len(a), shift + len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[shift + i] -= scalar * c
-    return poly_trim(out)
-
-
-def poly_shift(a: Poly, shift: int) -> Poly:
-    if not a:
-        return ZERO
-    return (0,) * shift + a
 
 
 def poly_eval_one(a: Poly) -> int:
@@ -128,8 +106,15 @@ def _kl(x: Perm, w: Perm, cap: int | None = ...) -> Poly:
             result = _kl(sx, w, cap)
         else:
             v = multiply(s, w)  # shorter by one
-            result = poly_add(_kl(sx, v, cap), poly_shift(_kl(x, v, cap), 1))
+            p_sx = _kl(sx, v, cap)
+            p_x = _kl(x, v, cap)
             lw = length(w)
+            # One coefficient list: no term has degree above l(w) / 2.
+            acc = [0] * (lw // 2 + 1)
+            for i, c in enumerate(p_sx):
+                acc[i] += c
+            for i, c in enumerate(p_x, 1):
+                acc[i] += c
             for z in bruhat_downset(v):
                 lz = length(z)
                 if (lw - lz) % 2:  # l(v) - l(z) even, as l(v) = l(w) - 1
@@ -142,7 +127,10 @@ def _kl(x: Perm, w: Perm, cap: int | None = ...) -> Poly:
                 target = (lw - lz) // 2 - 1
                 p = _kl(z, v, cap)
                 if target < len(p) and p[target]:
-                    result = poly_sub_scaled(result, _kl(x, z, cap), p[target], target + 1)
+                    mu = p[target]
+                    for i, c in enumerate(_kl(x, z, cap), target + 1):
+                        acc[i] -= mu * c
+            result = poly_trim(acc)
     if cap is not None and len(_kl_cache) >= cap:
         raise BoundExceededError(
             f"KL memo table exceeded the configured cap of {cap} entries"
@@ -190,6 +178,12 @@ def verma_mult(wprime: MultiWeyl, w: MultiWeyl) -> int:
     return out
 
 
+def _check_ranks(w: MultiWeyl, n: int) -> None:
+    for comp in w:
+        if len(comp) != n:
+            raise ValueError(f"component rank {len(comp)} != {n}")
+
+
 def parabolic_verma_mult(K: BlockSet, w: MultiWeyl) -> int:
     """Multiplicity of the simple module labelled by w inside the
     generalized Verma module attached to the parabolic on the inner
@@ -206,10 +200,7 @@ def parabolic_verma_mult(K: BlockSet, w: MultiWeyl) -> int:
     >>> parabolic_verma_mult(K, ((2, 1, 3, 4),))
     0
     """
-    n = K.n
-    for comp in w:
-        if len(comp) != n:
-            raise ValueError(f"component rank {len(comp)} != {n}")
+    _check_ranks(w, K.n)
     return _parabolic_verma_mult(K.r, K.k, _mask(K.members), w, {})
 
 

@@ -30,7 +30,7 @@ import itertools
 from bisect import bisect_right
 
 from .cosets import BlockSet, _mask, _members, _parabolic_roots
-from .kl_mult import _parabolic_verma_mult, kl_poly, poly_eval_one
+from .kl_mult import _check_ranks, _parabolic_verma_mult, kl_poly, poly_eval_one
 from .weyl_core import (
     BoundExceededError,
     MultiWeyl,
@@ -105,10 +105,7 @@ class GrothVector:
 def _check_preconditions(w: MultiWeyl, J: BlockSet, S: BlockSet) -> None:
     if J.r != S.r or J.k != S.k:
         raise ValueError("J and S must share the block shape")
-    n = J.n
-    for comp in w:
-        if len(comp) != n:
-            raise ValueError(f"component rank {len(comp)} != {n}")
+    _check_ranks(w, J.n)
     if not S.members <= J.members:
         raise ValueError("S must be contained in J")
     # Dominance of the shifted zero weight for the inner roots plus S is
@@ -312,22 +309,25 @@ def _label_groups(
         ascents = left_ascents(w)
         if needed <= ascents:
             blocks = sum(1 << (i - 1) for i in range(1, S.k) if i * S.r in ascents)
-            reps.append(((w,), length(w), blocks))
+            reps.append((w, length(w), blocks))
     rep_lengths = sorted(l_c for _, l_c, _ in reps)
-    # Tuples grow one embedding at a time; lengths are nonnegative, so a
-    # prefix over max_len has no admissible extension.  Each step is
-    # counted before it is built, so no list grows past the label bound.
-    combos = [((), 0, 0)]
+    # Prefixes grow one embedding at a time, each a chain (shorter prefix,
+    # last component) so that a step costs the same at every depth;
+    # lengths are nonnegative, so a prefix over max_len has no admissible
+    # extension.  Each step is counted before it is built, so no list
+    # grows past the label bound.
+    chains = [((), 0, 0)]
     for _ in range(d_L):
-        size = sum(bisect_right(rep_lengths, max_len - l_combo) for _, l_combo, _ in combos)
+        size = sum(bisect_right(rep_lengths, max_len - l_chain) for _, l_chain, _ in chains)
         if size > MAX_LABEL_WS:
             raise BoundExceededError(f"more than {MAX_LABEL_WS} w to list exceeds the label bound")
-        combos = [
-            (combo + c, l_combo + l_c, b_combo | b_c)
-            for combo, l_combo, b_combo in combos
+        chains = [
+            ((chain, c), l_chain + l_c, b_chain | b_c)
+            for chain, l_chain, b_chain in chains
             for c, l_c, b_c in reps
-            if l_combo + l_c <= max_len
+            if l_chain + l_c <= max_len
         ]
+    combos = [(_unchain(chain, d_L), l_combo, b_combo) for chain, l_combo, b_combo in chains]
     combos.sort(key=lambda c: (c[1], c[0]))
     # Per distinct set of ascent blocks: J_top's mask and the labels'
     # masks of J minus S, sorted by the members of J.
@@ -338,6 +338,14 @@ def _label_groups(
             extras.sort(key=lambda e: sorted(_members(s_mask | e)))
             by_blocks[blocks] = (s_mask | blocks, extras)
     return [(combo, *by_blocks[blocks]) for combo, _, blocks in combos]
+
+
+def _unchain(chain: tuple, d_L: int) -> MultiWeyl:
+    """The w of a chain (shorter prefix, last component) of length d_L."""
+    w = [None] * d_L
+    for i in range(d_L - 1, -1, -1):
+        chain, w[i] = chain
+    return tuple(w)
 
 
 def _block_set(S: BlockSet, extra: int, block_sets: dict) -> BlockSet:

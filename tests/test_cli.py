@@ -221,6 +221,24 @@ def test_nonpositive_rank_exit_2(capsys, argv):
     assert "must be positive" in doc["error"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cosets", "--n", "4", "--I", "4", "--J", "-"],
+        ["cosets", "--n", "4", "--I", "-", "--J", "0"],
+        ["ext-dim", "--kind", "smooth", "--degree", "1", "--left", "i:3", "--right", "i:-",
+         "--r", "1", "--k", "3"],
+        ["ext-dim", "--kind", "smooth", "--degree", "1", "--left", "levi:0", "--right", "i:-",
+         "--r", "1", "--k", "3"],
+    ],
+    ids=["cosets-I4", "cosets-J0", "ext-dim-i3", "ext-dim-levi0"],
+)
+def test_block_index_out_of_range_exit_2(capsys, argv):
+    code, doc = run(capsys, *argv)
+    assert code == 2 and list(doc) == ["error"]
+    assert "out of range" in doc["error"]
+
+
 def test_negative_max_len_exit_2(capsys):
     code, doc = run(capsys, "steinberg-mult", "--r", "2", "--k", "2", "--S", "-", "--max-len", "-1")
     assert code == 2 and "max_len" in doc["error"]

@@ -188,6 +188,16 @@ def test_block_embed():
         assert len(images) == 6
 
 
+def test_block_restrict_inverts_block_embed():
+    # Over all of S_n: the result is defined exactly on the images of
+    # block_embed, and there it returns the element embedded.
+    for n in range(1, 7):
+        for r in (r for r in range(1, n + 1) if n % r == 0):
+            images = {block_embed(u, r): u for u in enumerate_group(n // r)}
+            for w in enumerate_group(n):
+                assert block_restrict(w, r) == images.get(w)
+
+
 def test_is_in_W_IJ():
     e4 = identity(4)
     empty = BlockSet(2, 2)

@@ -211,16 +211,26 @@ def test_kl_cache_cap_read_at_most_once_per_public_call(monkeypatch):
     assert len(reads) == 2
 
 
-@pytest.mark.parametrize("n", [4, 5])
+# Ten w in S6 of length 5 to 9, several holding the singular patterns 3412
+# and 4231, so that 96 of their P_{x,w} are not 1.  Each w of S6 of length
+# 10 or more would add 4 to 17 s.
+S6_SAMPLE = [
+    (3, 4, 1, 2, 6, 5), (4, 1, 5, 2, 6, 3), (3, 2, 5, 4, 1, 6), (2, 5, 4, 1, 3, 6),
+    (4, 1, 6, 3, 2, 5), (4, 5, 1, 3, 2, 6), (4, 6, 1, 3, 2, 5), (6, 2, 4, 1, 3, 5),
+    (2, 5, 6, 3, 1, 4), (2, 6, 5, 3, 1, 4),
+]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
 def test_kl_inversion_formula(n):
     # Kazhdan-Lusztig 1979, (3.1): for x <= w,
     # sum over x <= z <= w of (-1)^{l(x)+l(z)} P_{x,z} P_{w0 w, w0 z}
     # is 1 if x = w and 0 otherwise.  Every entry meets the others, so
-    # one wrong coefficient shows.
+    # one wrong coefficient shows.  S6 is checked on the w of S6_SAMPLE.
     w0 = tuple(range(n, 0, -1))
     group = enumerate_group(n)
     pairs = 0
-    for w in group:
+    for w in S6_SAMPLE if n == 6 else group:
         interval = [z for z in group if bruhat_leq(z, w)]
         dual = {z: kl_poly(multiply(w0, w), multiply(w0, z)) for z in interval}
         for x in interval:
@@ -234,4 +244,4 @@ def test_kl_inversion_formula(n):
                         total[i + j] += sign * a * b
             assert total == [int(x == w)] + [0] * (len(total) - 1), (x, w)
             pairs += 1
-    assert pairs == {4: 213, 5: 3781}[n]
+    assert pairs == {4: 213, 5: 3781, 6: 792}[n]

@@ -222,6 +222,14 @@ def test_label_bound_admits_exactly_its_size(monkeypatch):
         _label_groups(S, 2, None)
 
 
+def test_label_listing_is_linear_in_d_L():
+    # S holds every block, so e is the one admissible component and the
+    # listing holds one w of 20000 components; copying each prefix at
+    # every step would copy about 2 * 10^8 entries.
+    groups = _label_groups(BlockSet(1, 3, frozenset({1, 2})), 20000, None)
+    assert groups == [((identity(3),) * 20000, 0b11, [0])]
+
+
 def count_block_sets(monkeypatch):
     """Patch BlockSet.__init__ to record each construction; return the
     list of the members of the block sets built."""

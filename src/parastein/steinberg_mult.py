@@ -14,20 +14,20 @@ call each w is handled once: the formula OR-folds its components'
 tables, keyed by outer support minus S, and reads each label with one
 lookup.  It builds one table per component per call, over the largest
 J_top among the w that hold that component, which answers every smaller
-J_top.  The oracle sums its signed generalized Verma multiplicities over
-every K between S and J_top by one subset-sum transform.  Each route
-keeps its own per-call dict, so a value is computed once per call but
-never passed from one route to the other, and the check stays
-independent.  The smooth Euler check is the same transform on a signed
-indicator, and ``check_complex_squares_zero`` keeps its signs as int
-bitsets.  ``GrothVector``, a finitely supported integer-valued function
-on opaque labels, is kept for callers; no check uses it.
+J_top; each fold cuts the tables down to its own J_top.  The oracle sums
+its signed generalized Verma multiplicities over every K between S and
+J_top by one subset-sum transform.  Each route keeps its own per-call
+dict, so a value is computed once per call but never passed from one
+route to the other, and the check stays independent.  The smooth Euler
+check is the same transform on a signed indicator, and
+``check_complex_squares_zero`` keeps its signs as int bitsets.
+``GrothVector``, a finitely supported integer-valued function on opaque
+labels, is kept for callers; no check uses it.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 
 from .cosets import BlockSet, _mask, _members, _parabolic_roots
 from .kl_mult import _check_ranks, _parabolic_verma_mult, kl_poly, poly_eval_one
@@ -44,8 +44,8 @@ from .weyl_core import (
 )
 
 
-# The most w that one label listing holds; each step of the list is counted
-# before it is built.  On a shared 2-vCPU Intel Xeon host (CPython 3.11.7),
+# The most w that one label listing holds; they are counted before any is
+# built.  On a shared 2-vCPU Intel Xeon host (CPython 3.11.7),
 # (r, k, d_L) = (1, 4, 4) has 331,776 w, built in 1.1 s within 89 MB, and
 # (1, 5, 3) has 1,728,000 w and 21 million labels, built in 9.6 s and 375 MB
 # before any check ran.  2^20 admits the first and rejects the second.
@@ -203,12 +203,25 @@ def _component_table(comp: Perm, S: BlockSet, top: int, memo: dict) -> dict:
 
 def _fold(w: MultiWeyl, S: BlockSet, top: int, memo: dict) -> dict:
     """G: the OR-convolution of the components' ``_component_table``s,
-    each over the mask ``top`` or a larger one."""
-    folded = {0: 1}
-    for comp in w:
+    each over the mask ``top`` or a larger one, at the masks inside
+    ``top``.  An OR only adds bits, so an entry with a bit outside
+    ``top`` reaches no mask inside it: each table is cut down to ``top``
+    before it is folded, and the fold starts from the first cut table
+    (from {0: 1}, the empty product, when w has no component)."""
+    outside = ~top
+    tables = (
+        {
+            outer: v
+            for outer, v in _component_table(comp, S, top, memo).items()
+            if not outer & outside
+        }
+        for comp in w
+    )
+    folded = next(tables, {0: 1})
+    for table in tables:
         step: dict = {}
         for outer_a, va in folded.items():
-            for outer_b, vb in _component_table(comp, S, top, memo).items():
+            for outer_b, vb in table.items():
                 key = outer_a | outer_b
                 step[key] = step.get(key, 0) + va * vb
         folded = step
@@ -290,7 +303,7 @@ def _label_groups(
     Labels sort by (length, one-line lex, sorted members of J), so each
     w's labels are consecutive.  The w with the same ascent blocks share
     one list of masks.  More than ``MAX_LABEL_WS`` w raise
-    ``BoundExceededError`` before the list is built."""
+    ``BoundExceededError`` before any prefix is built."""
     if d_L < 1:
         raise ValueError(f"d_L must be at least 1, got {d_L}")
     if max_len is not None and max_len < 0:
@@ -310,17 +323,29 @@ def _label_groups(
         if needed <= ascents:
             blocks = sum(1 << (i - 1) for i in range(1, S.k) if i * S.r in ascents)
             reps.append((w, length(w), blocks))
-    rep_lengths = sorted(l_c for _, l_c, _ in reps)
+    # The w are counted before any prefix is built: the representatives'
+    # length histogram convolved d_L times, cut at max_len.  e is
+    # admissible and has length 0, so the count never falls from one
+    # embedding to the next, and the first count over the bound stops.
+    rep_hist: dict[int, int] = {}
+    for _, l_c, _ in reps:
+        rep_hist[l_c] = rep_hist.get(l_c, 0) + 1
+    hist = {0: 1}
+    for _ in range(d_L):
+        step: dict[int, int] = {}
+        for l_a, n_a in hist.items():
+            for l_c, n_c in rep_hist.items():
+                if l_a + l_c <= max_len:
+                    step[l_a + l_c] = step.get(l_a + l_c, 0) + n_a * n_c
+        hist = step
+        if sum(hist.values()) > MAX_LABEL_WS:
+            raise BoundExceededError(f"more than {MAX_LABEL_WS} w to list exceeds the label bound")
     # Prefixes grow one embedding at a time, each a chain (shorter prefix,
     # last component) so that a step costs the same at every depth;
     # lengths are nonnegative, so a prefix over max_len has no admissible
-    # extension.  Each step is counted before it is built, so no list
-    # grows past the label bound.
+    # extension.
     chains = [((), 0, 0)]
     for _ in range(d_L):
-        size = sum(bisect_right(rep_lengths, max_len - l_chain) for _, l_chain, _ in chains)
-        if size > MAX_LABEL_WS:
-            raise BoundExceededError(f"more than {MAX_LABEL_WS} w to list exceeds the label bound")
         chains = [
             ((chain, c), l_chain + l_c, b_chain | b_c)
             for chain, l_chain, b_chain in chains
@@ -474,6 +499,12 @@ def check_complex_squares_zero(I: BlockSet) -> bool:
     has sign +1 or -1, and for every pair K'' below K with two blocks
     removed, the signed two-step compositions cancel.
 
+    Each free block (one not in I) gets one pass, over the tops that
+    hold it (``_supermasks`` of I plus that block), so each of the
+    f * 2^(f - 1) steps of f free blocks is signed once and no top is
+    visited for a block it lacks.  The squares are then checked a pair
+    of free blocks at a time, by int bitset operations over every top.
+
     >>> check_complex_squares_zero(BlockSet(1, 5))
     True
     """
@@ -484,17 +515,18 @@ def check_complex_squares_zero(I: BlockSet) -> bool:
     # per free bit, the tops that hold it and the tops whose step
     # removing it has sign -1.  Every second step is a first step from
     # a smaller top.
-    holds = dict.fromkeys(free, 0)
-    negative = dict.fromkeys(free, 0)
-    for top in _supermasks(base, universe):
-        for bit in free:
-            if top & bit:
-                sign = _sign(top, top ^ bit)
-                if sign == -1:
-                    negative[bit] |= 1 << top
-                elif sign != 1:
-                    return False
-                holds[bit] |= 1 << top
+    holds, negative = {}, {}
+    for bit in free:
+        pos = neg = 0
+        for top in _supermasks(base | bit, universe):
+            sign = _sign(top, top ^ bit)
+            if sign == 1:
+                pos |= 1 << top
+            elif sign == -1:
+                neg |= 1 << top
+            else:
+                return False
+        holds[bit], negative[bit] = pos | neg, neg
     for a, b in itertools.combinations(free, 2):
         # From a top holding a and b, the routes removing a then b and b
         # then a cancel when an odd number of their four steps is -1.  The

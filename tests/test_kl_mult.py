@@ -245,3 +245,68 @@ def test_kl_inversion_formula(n):
             assert total == [int(x == w)] + [0] * (len(total) - 1), (x, w)
             pairs += 1
     assert pairs == {4: 213, 5: 3781, 6: 792}[n]
+
+
+def r_polynomials(n):
+    """{(x, w): R_{x,w}} for x <= w in S_n, by the right-descent
+    recursion (Kazhdan-Lusztig 1979, (2.0)): for ws < w, R_{x,w} =
+    R_{xs,ws} if xs < x, and (q - 1) R_{x,ws} + q R_{xs,ws} otherwise;
+    R_{e,e} = 1 and R_{x,w} = 0 unless x <= w.  Coefficient lists,
+    index = power."""
+    R = {}
+    for w in sorted(enumerate_group(n), key=length):
+        for x in enumerate_group(n):
+            if x == w:
+                R[x, w] = [1]
+                continue
+            if not bruhat_leq(x, w):
+                continue
+            i = next(i for i in range(n - 1) if w[i] > w[i + 1])
+            ws = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
+            xs = x[:i] + (x[i + 1], x[i]) + x[i + 2:]
+            r_xs = R.get((xs, ws), [])
+            if x[i] > x[i + 1]:
+                R[x, w] = r_xs
+                continue
+            r_x = R.get((x, ws), [])
+            out = [0] * (max(len(r_xs), len(r_x)) + 1)
+            for j, c in enumerate(r_x):
+                out[j + 1] += c
+                out[j] -= c
+            for j, c in enumerate(r_xs):
+                out[j + 1] += c
+            R[x, w] = out
+    return R
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_kl_poly_matches_r_polynomial_route(n):
+    # A second route to P_{x,w}: q^{l(w)-l(x)} P_{x,w}(q^-1) equals the
+    # sum of R_{x,y} P_{y,w} over x <= y <= w (Kazhdan-Lusztig 1979,
+    # (2.2.c)).  The y = x term is P_{x,w}, whose degree is at most
+    # (l(w)-l(x)-1)/2 for x < w, while the left side has no term in
+    # those degrees; so P_{x,w} is minus the sum over x < y <= w cut at
+    # that degree, solved in decreasing l(x).
+    R = r_polynomials(n)
+    group = enumerate_group(n)
+    pairs = 0
+    for w in group:
+        below = sorted((x for x in group if x != w and bruhat_leq(x, w)), key=length)
+        P = {w: [1]}
+        for x in reversed(below):
+            top = (length(w) - length(x) - 1) // 2
+            total = [0] * (top + 1)
+            for y, p_y in P.items():
+                r = R.get((x, y))
+                if r is None:
+                    continue
+                for i, a in enumerate(r):
+                    for j, b in enumerate(p_y):
+                        if i + j <= top:
+                            total[i + j] -= a * b
+            while total and total[-1] == 0:
+                total.pop()
+            P[x] = total
+            assert tuple(total) == kl_poly(x, w), (x, w)
+            pairs += 1
+    assert pairs == {4: 189, 5: 3661}[n]

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import operator
+import tracemalloc
 
 import pytest
 
@@ -210,6 +211,20 @@ def test_label_bound_stops_the_listing_before_it_is_built():
         enumerate_constituents(BlockSet(1, 3), 30)
     with pytest.raises(BoundExceededError, match="label bound"):
         analytic_tits_euler_check(BlockSet(1, 5), 4)
+
+
+def test_label_bound_rejects_before_any_prefix_is_built():
+    # (1,3,30) has 6^30 w; 6^7 = 279,936 prefixes are below the bound, so
+    # a listing that counted one embedding at a time would build them
+    # (tens of MB) before it raised.
+    tracemalloc.start()
+    try:
+        with pytest.raises(BoundExceededError, match="label bound"):
+            enumerate_constituents(BlockSet(1, 3), 30)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_label_bound_admits_exactly_its_size(monkeypatch):
@@ -422,6 +437,27 @@ def test_complex_squares_zero_signs_each_step_once(monkeypatch):
         assert check_complex_squares_zero(I)
         f = 5 - len(I.members)
         assert len(calls) == len(set(calls)) == f * 2 ** (f - 1)
+
+
+def test_complex_squares_zero_fails_on_one_wrong_sign(monkeypatch):
+    # (1,5) has 4 free bits and 4 * 2^3 = 32 steps, each in some square;
+    # negating any one of them must fail the check.
+    sign = steinberg_mult._sign
+    steps = []
+    with monkeypatch.context() as m:
+        m.setattr(
+            steinberg_mult, "_sign", lambda top, bot: steps.append((top, bot)) or sign(top, bot)
+        )
+        assert check_complex_squares_zero(BlockSet(1, 5))
+    assert len(set(steps)) == 32
+    for step in steps:
+        with monkeypatch.context() as m:
+            m.setattr(
+                steinberg_mult,
+                "_sign",
+                lambda top, bot: -sign(top, bot) if (top, bot) == step else sign(top, bot),
+            )
+            assert not check_complex_squares_zero(BlockSet(1, 5)), step
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,15 @@ a cohomological degree, and two representation descriptors; answers are
 an exact dimension, a structured zero, or the explicit outcome
 "not-determined" (never a silent 0).  Every numeric answer cites the
 internal rule anchor (R1..R11) that produced it.
+
+``ext_dim`` groups the rules by the shape of the descriptor pair, and
+the flavor and center pick the anchor inside a group: induction against
+induction (R1, R2, R5) shares one refinement test, Steinberg against
+induction (R3, R6) one degree shift, and a one-block Steinberg against
+sigma or its component (R8, R9) one index test.  The anchors, notes
+and statuses are those of a table written flavor by flavor; the
+grouping only writes each rule's shape once.  Blocks and indices must
+lie in 1..k-1.
 """
 
 from __future__ import annotations
@@ -137,47 +146,35 @@ def _dim(value: int, rule: str, note: str = "") -> ExtAnswer:
     return ExtAnswer("dimension", value, rule, note)
 
 
-def _zero(rule: str, note: str = "") -> ExtAnswer:
-    return ExtAnswer("zero", None, rule, note)
+def _zero(rule: str) -> ExtAnswer:
+    return ExtAnswer("zero", None, rule)
 
 
 def _open(rule: str = R_NONE, note: str = "") -> ExtAnswer:
     return ExtAnswer("not-determined", None, rule, note)
 
 
-def _full(k: int) -> frozenset[int]:
-    return frozenset(range(1, k))
-
-
-def _is_two_block(members: frozenset[int], k: int) -> bool:
-    return num_blocks(members, k) == 2
-
-
-def _analytic_e_dim(
-    J: frozenset[int], degree: int, k: int, d_L: int, fixed_center: bool
-) -> ExtAnswer:
-    """Dimension of the analytic character space at the given degree, for
-    the block sets where it is pinned down (degree 0 always; degree 1 for
-    the full set, and for two-block sets when the center is fixed)."""
+def _analytic_e_dim(l_J: int, degree: int, d_L: int, fixed_center: bool, rule: str) -> ExtAnswer:
+    """Dimension of the analytic character space of a block set with l_J
+    blocks at the given degree, where it is pinned down (degree 0 always;
+    degree 1 for the full set, l_J = 1, and for two blocks when the center
+    is fixed).  Determined answers cite ``rule``; open ones cite R5."""
     if degree == 0:
-        return _dim(1, R5)
-    if degree == 1:
-        if not fixed_center:
-            if J == _full(k):
-                return _dim(d_L + 1, R5)
-            return _open(R5, "degree-1 space not pinned down for this block set")
-        l_J = num_blocks(J, k)
-        if J == _full(k):
-            return _dim(0, R5, "character lattice trivial modulo the center")
-        if _is_two_block(J, k):
-            return _dim((l_J - 1) * (d_L + 1), R5)
-        return _open(R5, "degree-1 space not pinned down for this block set")
-    return _open(R5, "higher degrees not pinned down")
+        return _dim(1, rule)
+    if degree > 1:
+        return _open(R5, "higher degrees not pinned down")
+    if fixed_center and l_J == 1:
+        return _dim(0, rule, "character lattice trivial modulo the center")
+    if l_J == (2 if fixed_center else 1):
+        return _dim(d_L + 1, rule)
+    return _open(R5, "degree-1 space not pinned down for this block set")
 
 
 def ext_dim(q: ExtQuery) -> ExtAnswer:
     """Apply the first matching rule of the table; see the module
-    docstring for the outcome contract.
+    docstring for the outcome contract.  A descriptor whose blocks are
+    not inside 1..k-1, or whose sigma, sigma-comp or constituent index is
+    not in 1..k-1, names no representation and raises ValueError.
 
     >>> st = RepDescriptor("steinberg", frozenset({2}))
     >>> full = RepDescriptor("st-an")
@@ -190,75 +187,62 @@ def ext_dim(q: ExtQuery) -> ExtAnswer:
         raise ValueError("inconsistent query parameters")
     L, R = q.left, q.right
     k = q.k
-    full = _full(k)
+    full = frozenset(range(1, k))
+    for rep in (L, R):
+        BlockSet(q.r, k, rep.blocks)  # raises on blocks outside 1..k-1
+        if rep.kind in ("sigma", "sigma-comp", "constituent") and rep.index not in full:
+            raise ValueError(f"{rep.kind} index {rep.index} out of range 1..{k - 1}")
+    analytic = q.flavor == "analytic"
 
-    if q.flavor == "smooth":
-        if L.kind == "ind" and R.kind == "ind":
-            if not q.fixed_center:
-                # R1: vanishes unless the right label refines the left.
-                if not R.blocks <= L.blocks:
-                    return _zero(R1)
-                return _dim(comb(num_blocks(R.blocks, k), q.degree), R1)
-            # R2: fixed center, pinned down for the two extreme shapes.
-            if not R.blocks <= L.blocks:
-                return _zero(R2)
-            if R.blocks == full or _is_two_block(R.blocks, k):
-                return _dim(comb(num_blocks(R.blocks, k) - 1, q.degree), R2)
-            return _open(R2, "fixed-center dimensions known only for the extreme shapes")
-        if L.kind == "steinberg" and R.kind == "ind" and not q.fixed_center:
-            # R3: degree shift by the codimension of the left label.
-            if L.blocks | R.blocks != full:
-                return _zero(R3)
-            shifted = q.degree - (k - 1 - len(L.blocks))
-            if shifted < 0:
-                return _zero(R3)
-            return _dim(comb(num_blocks(R.blocks, k), shifted), R3)
-        if L.kind == "steinberg" and R.kind == "steinberg":
-            extra = L.blocks - R.blocks
-            if R.blocks <= L.blocks and len(extra) == 1:
-                # R4: adjacent pair, one dimension in degree 1 only.
-                if q.degree == 1:
-                    return _dim(1, R4)
-                return _zero(R4)
-            return _open(R_NONE, "only adjacent Steinberg pairs are pinned down")
-        if L.kind == "levi-self" or R.kind == "levi-self":
-            # R11: self-extensions at the Levi level.
-            blocks = L.blocks if L.kind == "levi-self" else R.blocks
-            return _dim(comb(num_blocks(blocks, k), q.degree), R11)
-        return _open()
-
-    # analytic flavor
     if L.kind == "ind" and R.kind == "ind":
-        # R5
+        # R1, R2, R5: vanish unless the right label refines the left.
+        rule = R5 if analytic else R2 if q.fixed_center else R1
         if not R.blocks <= L.blocks:
-            return _zero(R5)
-        return _analytic_e_dim(R.blocks, q.degree, k, q.d_L, q.fixed_center)
-    if L.kind == "steinberg" and R.kind == "ind":
-        # R6: shift rule.
-        if L.blocks | R.blocks != full:
-            return _zero(R6)
+            return _zero(rule)
+        if analytic:
+            return _analytic_e_dim(num_blocks(R.blocks, k), q.degree, q.d_L, q.fixed_center, R5)
+        if not q.fixed_center:
+            return _dim(comb(num_blocks(R.blocks, k), q.degree), R1)
+        # R2: fixed center, pinned down for the two extreme shapes.
+        if R.blocks == full or num_blocks(R.blocks, k) == 2:
+            return _dim(comb(num_blocks(R.blocks, k) - 1, q.degree), R2)
+        return _open(R2, "fixed-center dimensions known only for the extreme shapes")
+    if L.kind == "steinberg" and R.kind == "ind" and (analytic or not q.fixed_center):
+        # R3 (smooth, free center), R6 (analytic): degree shift by the
+        # codimension of the left label.
+        rule = R6 if analytic else R3
         shifted = q.degree - (k - 1 - len(L.blocks))
-        if shifted < 0:
-            return _zero(R6)
-        ans = _analytic_e_dim(R.blocks, shifted, k, q.d_L, q.fixed_center)
-        return ExtAnswer(ans.status, ans.dim, R6 if ans.status != "not-determined" else ans.rule, ans.note)
-    if L.kind == "steinberg" and len(L.blocks) == 1:
-        i = next(iter(L.blocks))
+        if L.blocks | R.blocks != full or shifted < 0:
+            return _zero(rule)
+        if analytic:
+            return _analytic_e_dim(num_blocks(R.blocks, k), shifted, q.d_L, q.fixed_center, R6)
+        return _dim(comb(num_blocks(R.blocks, k), shifted), R3)
+    if L.kind == "steinberg" and R.kind == "steinberg" and not analytic:
+        extra = L.blocks - R.blocks
+        if R.blocks <= L.blocks and len(extra) == 1:
+            # R4: adjacent pair, one dimension in degree 1 only.
+            if q.degree == 1:
+                return _dim(1, R4)
+            return _zero(R4)
+        return _open(R_NONE, "only adjacent Steinberg pairs are pinned down")
+    if "levi-self" in (L.kind, R.kind) and not analytic:
+        # R11: self-extensions at the Levi level.
+        blocks = L.blocks if L.kind == "levi-self" else R.blocks
+        return _dim(comb(num_blocks(blocks, k), q.degree), R11)
+    if L.kind == "steinberg" and len(L.blocks) == 1 and analytic:
+        (i,) = L.blocks
         if R.kind == "st-an":
             # R7: one-dimensional-label Steinberg against the full module.
             if q.degree == 1:
                 return _dim(q.d_L + 1, R7)
             return _open(R7, "only degree 1 is pinned down")
-        if R.kind == "sigma":
-            # R8
+        if R.kind in ("sigma", "sigma-comp"):
+            # R8, R9: the module and its component, pinned down at the
+            # matching index in degree 1.
+            rule, dim = (R8, q.d_L + 1) if R.kind == "sigma" else (R9, 2)
             if q.degree == 1 and R.index == i:
-                return _dim(q.d_L + 1, R8)
-            return _open(R8, "only the matching index in degree 1 is pinned down")
-        if R.kind == "sigma-comp":
-            # R9
-            if q.degree == 1 and R.index == i:
-                return _dim(2, R9)
-            return _open(R9, "only the matching index in degree 1 is pinned down")
+                return _dim(dim, rule)
+            return _open(rule, "only the matching index in degree 1 is pinned down")
         if R.kind == "constituent":
             # R10
             if q.degree == 1:

@@ -179,6 +179,10 @@ def verma_mult(wprime: MultiWeyl, w: MultiWeyl) -> int:
 
 
 def _check_ranks(w: MultiWeyl, n: int) -> None:
+    """w must have one component per embedding, at least one, each of
+    rank n."""
+    if not w:
+        raise ValueError("d_L must be at least 1, got 0")
     for comp in w:
         if len(comp) != n:
             raise ValueError(f"component rank {len(comp)} != {n}")

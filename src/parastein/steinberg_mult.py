@@ -327,6 +327,8 @@ def _label_groups(
     # length histogram convolved d_L times, cut at max_len.  e is
     # admissible and has length 0, so the count never falls from one
     # embedding to the next, and the first count over the bound stops.
+    # Once a step returns the histogram unchanged, every later step does
+    # too, so the count stops there.
     rep_hist: dict[int, int] = {}
     for _, l_c, _ in reps:
         rep_hist[l_c] = rep_hist.get(l_c, 0) + 1
@@ -337,6 +339,8 @@ def _label_groups(
             for l_c, n_c in rep_hist.items():
                 if l_a + l_c <= max_len:
                     step[l_a + l_c] = step.get(l_a + l_c, 0) + n_a * n_c
+        if step == hist:
+            break
         hist = step
         if sum(hist.values()) > MAX_LABEL_WS:
             raise BoundExceededError(f"more than {MAX_LABEL_WS} w to list exceeds the label bound")

@@ -1,7 +1,9 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -200,6 +202,16 @@ def test_degree_below_one_exit_2(capsys, d_l):
     assert code == 2 and "d_L" in doc["error"]
     code, doc = run(capsys, "tits-check", "--r", "2", "--k", "2", "--analytic", "--dL", d_l)
     assert code == 2 and "d_L" in doc["error"]
+    # An empty --w: zero components at d_L = 0; at -3 the component count
+    # is rejected first.
+    for argv in (
+        ("steinberg-mult", "--r", "1", "--k", "3", "--dL", d_l, "--w", "", "--S", "-", "--J", "-"),
+        ("mult", "--r", "1", "--k", "3", "--dL", d_l, "--w", "", "--K", "-"),
+    ):
+        code, doc = run(capsys, *argv)
+        assert code == 2 and list(doc) == ["error"]
+        if d_l == "0":
+            assert doc["error"] == "d_L must be at least 1, got 0"
 
 
 @pytest.mark.parametrize(
@@ -230,8 +242,12 @@ def test_nonpositive_rank_exit_2(capsys, argv):
          "--r", "1", "--k", "3"],
         ["ext-dim", "--kind", "smooth", "--degree", "1", "--left", "levi:0", "--right", "i:-",
          "--r", "1", "--k", "3"],
+        ["ext-dim", "--kind", "analytic", "--degree", "1", "--left", "v:1", "--right", "c:9@0",
+         "--r", "2", "--k", "3", "--dL", "1"],
+        ["ext-dim", "--kind", "analytic", "--degree", "1", "--left", "v:1", "--right", "sigma:0",
+         "--r", "1", "--k", "3"],
     ],
-    ids=["cosets-I4", "cosets-J0", "ext-dim-i3", "ext-dim-levi0"],
+    ids=["cosets-I4", "cosets-J0", "ext-dim-i3", "ext-dim-levi0", "ext-dim-c9", "ext-dim-sigma0"],
 )
 def test_block_index_out_of_range_exit_2(capsys, argv):
     code, doc = run(capsys, *argv)
@@ -406,3 +422,37 @@ def test_cli_imports_every_module_and_not_click():
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+def _readme_examples():
+    """(argv, expected document or None) for each ``parastein`` line of
+    the README's sh blocks; a ``# -> {...}`` line right after a command
+    gives its expected output."""
+    examples = []
+    in_sh = False
+    for line in (Path(__file__).parents[1] / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("parastein "):
+            examples.append([shlex.split(line, comments=True)[1:], None])
+        elif in_sh and line.startswith("# -> ") and examples:
+            examples[-1][1] = json.JSONDecoder().raw_decode(line[len("# -> "):])[0]
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def test_readme_has_examples():
+    assert len(README_EXAMPLES) == 14
+    assert sum(expected is not None for _, expected in README_EXAMPLES) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, expected", README_EXAMPLES, ids=[" ".join(argv) for argv, _ in README_EXAMPLES]
+)
+def test_readme_example(capsys, argv, expected):
+    code, doc = run(capsys, *argv)
+    assert code == 0
+    if expected is not None:
+        assert doc == expected

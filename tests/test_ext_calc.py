@@ -194,8 +194,67 @@ def test_consistency_check():
         assert consistency_check_thm_main(r, k, d_L)
 
 
+def sigma_comp(index, sigma=0):
+    return RepDescriptor("sigma-comp", frozenset(), index, sigma)
+
+
+def constituent(index, sigma=0):
+    return RepDescriptor("constituent", frozenset(), index, sigma)
+
+
+ST_AN = RepDescriptor("st-an")
+OPEN = "not-determined"
+PINNED_AT_ONE = "only the matching index in degree 1 is pinned down"
+
+
+@pytest.mark.parametrize(
+    "flavor, fixed, degree, left, right, expected",
+    [
+        ("analytic", True, 1, ind(1, 2, 3), ind(1),
+         (OPEN, None, "R5:analytic-ind-ind", "degree-1 space not pinned down for this block set")),
+        ("smooth", True, 1, ind(1), ind(2),
+         ("zero", None, "R2:smooth-ind-ind-fixed-center", "")),
+        ("smooth", False, 1, stb(1), ST_AN, (OPEN, None, "no-rule", "")),
+        ("analytic", False, 1, stb(1), ind(2),
+         ("zero", None, "R6:analytic-steinberg-ind", "")),
+        ("analytic", False, 2, stb(1), ST_AN,
+         (OPEN, None, "R7:analytic-steinberg-full", "only degree 1 is pinned down")),
+        ("analytic", False, 1, stb(1), sigma_comp(2),
+         (OPEN, None, "R9:analytic-steinberg-sigma-component", PINNED_AT_ONE)),
+        ("analytic", False, 2, stb(1), constituent(1),
+         (OPEN, None, "R10:analytic-steinberg-constituent", "only degree 1 is pinned down")),
+        ("analytic", False, 1, stb(1, 2), ST_AN, (OPEN, None, "no-rule", "")),
+    ],
+    ids=["R5-open", "R2-zero", "smooth-no-rule", "R6-zero", "R7-open", "R9-open", "R10-open",
+         "analytic-no-rule"],
+)
+def test_table_branch(flavor, fixed, degree, left, right, expected):
+    # One branch of the table each, with r = 1, k = 4 and d_L = 2.
+    ans = ext_dim(q(flavor, degree, left, right, k=4, d_L=2, fixed_center=fixed))
+    assert (ans.status, ans.dim, ans.rule, ans.note) == expected
+
+
 def test_invalid_queries():
     with pytest.raises(ValueError):
         ext_dim(q("weird", 0, ind(), ind()))
     with pytest.raises(ValueError):
         ext_dim(ExtQuery("smooth", False, -1, ind(), ind(), 1, 2, 1))
+
+    # Blocks and indices live in 1..k-1; outside it a label names no
+    # representation, on either side.
+    for left, right, k in [
+        (ind(5), ind(5), 3),
+        (stb(7), ST_AN, 3),
+        (stb(1), RepDescriptor("levi-self", frozenset({0})), 3),
+        (ind(), RepDescriptor("st-an", frozenset({3})), 3),
+        (stb(1), constituent(9), 3),
+        (stb(1), constituent(3), 3),
+        (stb(1), sigma_comp(0), 3),
+        (stb(1), RepDescriptor("sigma", frozenset(), -1, None), 3),
+        (stb(1), RepDescriptor("sigma"), 3),
+        (stb(), constituent(1), 1),
+    ]:
+        for flavor in ("smooth", "analytic"):
+            for pair in ((left, right), (right, left)):
+                with pytest.raises(ValueError, match="out of range"):
+                    ext_dim(ExtQuery(flavor, False, 1, *pair, 1, k, 2))

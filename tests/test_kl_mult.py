@@ -160,6 +160,12 @@ def test_parabolic_verma_checks_every_rank_first():
         parabolic_verma_mult(K, ((2, 1, 3, 4), (1, 2, 3)))
 
 
+def test_parabolic_verma_rejects_empty_w():
+    # No component means d_L = 0, which labels no module.
+    with pytest.raises(ValueError, match="d_L must be at least 1, got 0"):
+        parabolic_verma_mult(BlockSet(1, 3), ())
+
+
 def test_parabolic_verma_full_parabolic_is_simple_indicator():
     # when K exhausts the block roots the parabolic is the full group and
     # the module is simple: multiplicity 1 at the identity only among

@@ -95,6 +95,13 @@ def test_precondition_S_subset_J():
         steinberg_multiplicity((identity(3),), J, S)
 
 
+def test_precondition_at_least_one_component():
+    empty = BlockSet(1, 3)
+    for route in (steinberg_multiplicity, steinberg_multiplicity_oracle):
+        with pytest.raises(ValueError, match="d_L must be at least 1, got 0"):
+            route((), empty, empty)
+
+
 def test_formula_equals_oracle_envelope():
     for r, k, d_L in [(1, 3, 1), (2, 2, 1), (2, 2, 2), (1, 3, 2)]:
         for S in all_blocksets(r, k):

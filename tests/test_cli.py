@@ -202,16 +202,16 @@ def test_degree_below_one_exit_2(capsys, d_l):
     assert code == 2 and "d_L" in doc["error"]
     code, doc = run(capsys, "tits-check", "--r", "2", "--k", "2", "--analytic", "--dL", d_l)
     assert code == 2 and "d_L" in doc["error"]
-    # An empty --w: zero components at d_L = 0; at -3 the component count
-    # is rejected first.
-    for argv in (
-        ("steinberg-mult", "--r", "1", "--k", "3", "--dL", d_l, "--w", "", "--S", "-", "--J", "-"),
-        ("mult", "--r", "1", "--k", "3", "--dL", d_l, "--w", "", "--K", "-"),
-    ):
-        code, doc = run(capsys, *argv)
-        assert code == 2 and list(doc) == ["error"]
-        if d_l == "0":
-            assert doc["error"] == "d_L must be at least 1, got 0"
+    # --w is parsed only after d_L is checked, so an empty --w and a
+    # one-component --w get the same message.
+    for w_text in ("", "e"):
+        for argv in (
+            ("steinberg-mult", "--S", "-", "--J", "-"),
+            ("mult", "--K", "-"),
+        ):
+            argv += ("--r", "1", "--k", "3", "--dL", d_l, "--w", w_text)
+            code, doc = run(capsys, *argv)
+            assert code == 2 and doc == {"error": f"d_L must be at least 1, got {d_l}"}, argv
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import operator
+import random
 import tracemalloc
 
 import pytest
@@ -17,9 +18,11 @@ from parastein.steinberg_mult import (
     GrothVector,
     _admissible_labels,
     _check_preconditions,
+    _cube,
     _label_groups,
     _mask,
     _oracle_values,
+    _subset_sums,
     analytic_tits_euler_check,
     check_complex_squares_zero,
     enumerate_constituents,
@@ -482,26 +485,33 @@ def test_complex_squares_zero_fails_on_a_zero_step(monkeypatch, zero_step):
     assert not check_complex_squares_zero(BlockSet(1, 5))
 
 
-def test_complex_squares_zero_up_to_k5():
-    for k in range(1, 6):
+def test_complex_squares_zero_up_to_k9():
+    # steinberg-warm's shape, (1,9), and every smaller k.
+    for k in range(1, 10):
         for I in all_blocksets(1, k):
             assert check_complex_squares_zero(I)
 
 
-def test_smooth_euler_check_k_up_to_6():
-    for k in range(1, 7):
+def test_smooth_euler_check_up_to_k9():
+    for k in range(1, 10):
         for I in all_blocksets(1, k):
             assert smooth_tits_euler_check(I)
 
 
 def test_smooth_euler_check_fails_when_broken(monkeypatch):
     # The Euler sum collapses only with the sign (-1)^{|K minus I|} and a
-    # full transform: unsigned terms, or a transform that skips a bit,
+    # full transform: unsigned terms, or a transform that skips one
+    # stride (here the top one, by transforming the two halves apart),
     # must fail the check wherever I leaves a block free.
     transform = steinberg_mult._subset_sums
+
+    def skips_a_stride(values):
+        half = len(values) // 2
+        return transform(values[:half]) + transform(values[half:])
+
     broken = {
-        "unsigned": lambda values, free: transform({K: abs(v) for K, v in values.items()}, free),
-        "skips-a-bit": lambda values, free: transform(values, free & (free - 1)),
+        "unsigned": lambda values: transform([abs(v) for v in values]),
+        "skips-a-stride": skips_a_stride,
     }
     for name, patched in broken.items():
         with monkeypatch.context() as m:
@@ -510,6 +520,40 @@ def test_smooth_euler_check_fails_when_broken(monkeypatch):
                 for I in all_blocksets(1, k):
                     if len(I.members) < k - 1:
                         assert not smooth_tits_euler_check(I), (name, I)
+
+
+def test_cube_index_flips_one_bit():
+    # Bit p of the index is the p-th lowest bit of free: index i ^ 2**p
+    # is the mask with that bit flipped, and the list is every mask
+    # between base and base | free, each once.
+    for base, free in [(0, 0), (0b1, 0), (0, 0b1011), (0b100, 0b1011), (0b10010, 0b101101)]:
+        masks = _cube(base, free)
+        bits = [1 << b for b in range(free.bit_length()) if free >> b & 1]
+        assert len(masks) == 2 ** len(bits)
+        top = base | free
+        assert sorted(masks) == [m for m in range(top + 1) if m & base == base and m | top == top]
+        for i, mask in enumerate(masks):
+            assert mask == base | sum(bit for p, bit in enumerate(bits) if i >> p & 1)
+            for p, bit in enumerate(bits):
+                assert masks[i ^ (1 << p)] == mask ^ bit
+
+
+def test_subset_sums_matches_brute_force():
+    # Over _cube(base, free) for every free of at most six of seven blocks
+    # and every base outside it: each entry becomes the sum over the L
+    # between base and its own mask K.
+    rng = random.Random(2007)
+    universe = (1 << 7) - 1
+    for free in range(universe):
+        rest = universe & ~free
+        for base in range(rest + 1):
+            if base & free:
+                continue
+            masks = _cube(base, free)
+            values = [rng.randint(-9, 9) for _ in masks]
+            old = dict(zip(masks, values))
+            brute = [sum(v for L, v in old.items() if L & K == L) for K in masks]
+            assert _subset_sums(values) == brute, (base, free)
 
 
 def test_analytic_euler_check_envelope():

@@ -9,22 +9,27 @@ Both must agree on every admissible input; the test suite enforces this.
 Block sets are int bitmasks, block index i being bit i - 1, from label
 generation through both routes; ``BlockSet``s are built only at the
 public boundary.  A label (w, J) of the module attached to S travels as
-w and the mask of J minus S.  Within one ``analytic_tits_euler_check``
-call each w is handled once: the formula OR-folds its components'
-tables, keyed by outer support minus S, and reads each label with one
-lookup.  It builds one table per component per call, over the largest
-J_top among the w that hold that component, which answers every smaller
-J_top; each fold cuts the tables down to its own J_top.  The oracle sums
-its signed generalized Verma multiplicities over every K between S and
-J_top by one subset-sum transform.  Each route keeps its own per-call
-dict, so a value is computed once per call but never passed from one
-route to the other, and the check stays independent.  The smooth Euler
-check is the same transform on a signed indicator, and
-``check_complex_squares_zero`` keeps its signs as int bitsets.  All
-three list masks in cube order (``_cube``), where flipping a block
-flips one bit of the list index, so the transform is list arithmetic.
-``GrothVector``, a finitely supported integer-valued function on opaque
-labels, is kept for callers; no check uses it.
+w and the mask of J minus S.  Both routes are symmetric in the d_L
+components of w, one per embedding of L: the formula's fold is a
+commutative OR-convolution, the oracle's multiplicity a product over
+components, and J_top and the length do not see their order.  So
+``analytic_tits_euler_check`` walks one w per multiset of components,
+and ``enumerate_constituents`` lists every w but folds each multiset
+once and hands its values to every ordering.  The formula OR-folds the
+components' tables, keyed by outer support minus S, and reads each
+label with one lookup.  It builds one table per component per call,
+over the largest J_top among the w that hold that component, which
+answers every smaller J_top; each fold cuts the tables down to its own
+J_top.  The oracle sums its signed generalized Verma multiplicities
+over every K between S and J_top by one subset-sum transform.  Each
+route keeps its own per-call dict, so a value is computed once per call
+but never passed from one route to the other, and the check stays
+independent.  The smooth Euler check is the same transform on a signed
+indicator, and ``check_complex_squares_zero`` keeps its signs as int
+bitsets.  All three list masks in cube order (``_cube``), where flipping
+a block flips one bit of the list index, so the transform is list
+arithmetic.  ``GrothVector``, a finitely supported integer-valued
+function on opaque labels, is kept for callers; no check uses it.
 """
 
 from __future__ import annotations
@@ -152,10 +157,11 @@ def steinberg_multiplicity(w: MultiWeyl, J: BlockSet, S: BlockSet) -> int:
     on the inner roots plus J are the u of the one on the inner roots
     plus J' whose outer support lies in J, and an OR of masks lies in J
     exactly when each mask does.  So ``enumerate_constituents`` and
-    ``analytic_tits_euler_check`` fold each w once, with tables over
-    J_top = S plus the ascent blocks of w or over a larger top (see
-    ``_component_table``), and read every label (w, J) off that fold.
-    This function folds over its own J.
+    ``analytic_tits_euler_check`` fold each multiset of components once
+    (see ``_formula_values``), with tables over J_top = S plus the ascent
+    blocks of w or over a larger top (see ``_component_table``), and read
+    every label (w, J) off that fold.  This function folds over its own
+    J.
 
     >>> from .cosets import BlockSet
     >>> empty = BlockSet(2, 2)
@@ -183,7 +189,8 @@ def _component_table(comp: Perm, S: BlockSet, top: int, memo: dict) -> dict:
     later folds read only masks inside their own tops, which are no
     larger (see ``steinberg_multiplicity``): in label order a component
     first comes in (comp,) at d_L = 1, its only w, and at d_L >= 2 in
-    (e, ..., e, comp), whose top is every block."""
+    (e, ..., e, comp), whose top is every block.  That w has sorted
+    components, so it is listed with or without ``multisets``."""
     table = memo.get(comp)
     if table is not None:
         return table
@@ -236,14 +243,23 @@ def _read_fold(folded: dict, extra: int) -> int:
     return -m if extra.bit_count() % 2 else m
 
 
-def _formula_values(S: BlockSet, d_L: int, max_len: int | None):
-    """Yield (w, extras, [m(w, J, S) per label]) for each w of the
-    admissible labels, in label order, with ``extras`` as in
-    ``_label_groups``: one fold per w over its J_top."""
+def _formula_values(S: BlockSet, d_L: int, max_len: int | None, multisets: bool = False):
+    """Yield (w, extras, [m(w, J, S) per label]) for each w of
+    ``_label_groups(S, d_L, max_len, multisets)``, in label order, with
+    ``extras`` as there.  A value is symmetric in the components of w, and
+    the w with the same components have the same ascent blocks and so the
+    same ``extras``; so one fold is made per multiset of components, over
+    its J_top, and its value list is handed to every ordering of it, kept
+    in a per-call dict keyed by the sorted components."""
     memo: dict = {}
-    for w, top, extras in _label_groups(S, d_L, max_len):
-        folded = _fold(w, S, top, memo)
-        yield w, extras, [_read_fold(folded, extra) for extra in extras]
+    by_multiset: dict[MultiWeyl, list[int]] = {}
+    for w, top, extras in _label_groups(S, d_L, max_len, multisets):
+        key = tuple(sorted(w))
+        values = by_multiset.get(key)
+        if values is None:
+            folded = _fold(w, S, top, memo)
+            values = by_multiset[key] = [_read_fold(folded, extra) for extra in extras]
+        yield w, extras, values
 
 
 def steinberg_multiplicity_oracle(w: MultiWeyl, J: BlockSet, S: BlockSet) -> int:
@@ -251,7 +267,7 @@ def steinberg_multiplicity_oracle(w: MultiWeyl, J: BlockSet, S: BlockSet) -> int
     between S and J of generalized Verma multiplicities, with sign
     (-1)^{|K minus S|}.  The sum is read off ``_oracle_values`` over the
     K between S and J, the transform that ``analytic_tits_euler_check``
-    runs once per w.
+    runs once per multiset of components.
 
     >>> from .cosets import BlockSet
     >>> empty = BlockSet(2, 2)
@@ -274,9 +290,13 @@ def _oracle_values(w: MultiWeyl, S: BlockSet, extras: list, memo: dict) -> dict:
     order over J_top minus S, the largest extra, and one ``_subset_sums``
     gives the value at every J at once.  ``memo`` is passed on to
     ``_parabolic_verma_mult``, so callers that pass one dict build each
-    K's rows and per-component sums once.  One dict serves one (r, k)."""
+    K's rows and per-component sums once, and it keeps one ``_cube`` per
+    J_top minus S.  One dict serves one (r, k)."""
     s_mask = _mask(S.members)
-    cube = _cube(0, max(extras))
+    top = max(extras)
+    cube = memo.get(("cube", top))
+    if cube is None:
+        cube = memo["cube", top] = _cube(0, top)
     values = []
     for extra in cube:
         m = _parabolic_verma_mult(S.r, S.k, s_mask | extra, w, memo)
@@ -296,15 +316,18 @@ class ConstituentLabel(_Frozen):
 
 
 def _label_groups(
-    S: BlockSet, d_L: int, max_len: int | None
+    S: BlockSet, d_L: int, max_len: int | None, multisets: bool = False
 ) -> list[tuple[MultiWeyl, int, list[int]]]:
     """The admissible labels grouped by w, in label order: (w, mask of
     J_top, [mask of J minus S, ...]), where J_top is S plus the ascent
     blocks of w and the J are the block sets between S and J_top.
     Labels sort by (length, one-line lex, sorted members of J), so each
     w's labels are consecutive.  The w with the same ascent blocks share
-    one list of masks.  More than ``MAX_LABEL_WS`` w raise
-    ``BoundExceededError`` before any prefix is built."""
+    one list of masks.  With ``multisets``, only the w whose components
+    do not decrease are listed: one w per multiset of components, the
+    first of its orderings in label order.  More than ``MAX_LABEL_WS`` w
+    raise ``BoundExceededError`` before any prefix is built; the bound
+    counts every w, so it is the same with or without ``multisets``."""
     if d_L < 1:
         raise ValueError(f"d_L must be at least 1, got {d_L}")
     if max_len is not None and max_len < 0:
@@ -348,16 +371,18 @@ def _label_groups(
     # Prefixes grow one embedding at a time, each a chain (shorter prefix,
     # last component) so that a step costs the same at every depth;
     # lengths are nonnegative, so a prefix over max_len has no admissible
-    # extension.
-    chains = [((), 0, 0)]
+    # extension.  Each chain keeps the index in reps from which its next
+    # component is taken: 0, or with ``multisets`` that of its last one.
+    # reps is in one-line lex order, so those w are the sorted ones.
+    chains = [((), 0, 0, 0)]
     for _ in range(d_L):
         chains = [
-            ((chain, c), l_chain + l_c, b_chain | b_c)
-            for chain, l_chain, b_chain in chains
-            for c, l_c, b_c in reps
+            ((chain, c), l_chain + l_c, b_chain | b_c, i if multisets else 0)
+            for chain, l_chain, b_chain, first in chains
+            for i, (c, l_c, b_c) in enumerate(reps[first:], first)
             if l_chain + l_c <= max_len
         ]
-    combos = [(_unchain(chain, d_L), l_combo, b_combo) for chain, l_combo, b_combo in chains]
+    combos = [(_unchain(chain, d_L), l_combo, b_combo) for chain, l_combo, b_combo, _ in chains]
     combos.sort(key=lambda c: (c[1], c[0]))
     # Per distinct set of ascent blocks: J_top's mask and the labels'
     # masks of J minus S, sorted by the members of J.
@@ -401,8 +426,9 @@ def enumerate_constituents(
     """All constituent labels (w, J) with nonzero multiplicity, w running
     over tuples of minimal representatives whose shifted zero weight is
     dominant for the inner roots plus S, with total length at most
-    max_len; sorted by (length, one-line lex, J).  Each w is folded once
-    (see ``steinberg_multiplicity``).
+    max_len; sorted by (length, one-line lex, J).  Each multiset of
+    components is folded once, and its values serve every w that orders
+    it (see ``_formula_values``).
 
     >>> from .cosets import BlockSet
     >>> empty = BlockSet(2, 2)
@@ -565,23 +591,27 @@ def analytic_tits_euler_check(
     for every admissible label, the inclusion-exclusion over the terms
     equals the direct multiplicity formula.
 
-    The labels are walked once, grouped by w.  For each w the formula
+    Both routes are symmetric in the components of w, so the labels are
+    walked once per multiset of components: one w with sorted components
+    stands for all its orderings (``_label_groups`` with ``multisets``).
+    The label bound still counts every w.  For each such w the formula
     OR-folds its component tables over J_top and reads every label off
     that fold (see ``steinberg_multiplicity``), and the oracle runs one
     subset-sum transform of its signed generalized Verma multiplicities
     over the K between S and J_top (``_oracle_values``); the two are
-    then compared label by label.  The formula and the oracle each keep
-    their own dict for the whole call: the formula's holds one
-    ``_component_table`` per component, the oracle's its per-K rows and
-    per-(K, component) alternating sums.  No entry passes from one route
-    to the other, so each label's two integers are still computed
-    independently.
+    then compared label by label.  The symmetry itself is checked by the
+    test suite, on both routes and every ordering.  The formula and the
+    oracle each keep their own dict for the whole call: the formula's
+    holds one ``_component_table`` per component, the oracle's its per-K
+    rows, per-(K, component) alternating sums and one ``_cube`` per
+    J_top.  No entry passes from one route to the other, so each label's
+    two integers are still computed independently.
 
     >>> analytic_tits_euler_check(BlockSet(2, 2), 1)
     True
     """
     oracle_memo: dict = {}
-    for w, extras, values in _formula_values(S, d_L, max_len):
+    for w, extras, values in _formula_values(S, d_L, max_len, multisets=True):
         oracle = _oracle_values(w, S, extras, oracle_memo)
         for extra, m in zip(extras, values):
             if m != oracle[extra]:

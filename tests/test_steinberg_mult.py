@@ -189,6 +189,142 @@ def test_label_groups_fold_over_the_union_of_their_labels():
             )
 
 
+def ordering_values(S, labels):
+    """{(sorted components of w, J): (formula values, oracle values)} over
+    the labels (w, J), each a set of the values that the orderings of w
+    among the labels give on that route."""
+    out = {}
+    for w, J in labels:
+        formula, oracle = out.setdefault((tuple(sorted(w)), J), (set(), set()))
+        formula.add(steinberg_multiplicity(w, J, S))
+        oracle.add(steinberg_multiplicity_oracle(w, J, S))
+    return out
+
+
+def every_ordering(r, k, d_L, sample=None):
+    """(S, labels) for every S: every admissible label, or with ``sample``
+    that many (w, J) drawn by a seeded generator from the sorted w, each
+    w then taken in every ordering of its components."""
+    rng = random.Random(1604)
+    for S in all_blocksets(r, k):
+        if sample is None:
+            yield S, _admissible_labels(S, d_L, None)
+            continue
+        pool = [
+            (w, extra)
+            for w, _, extras in _label_groups(S, d_L, None, multisets=True)
+            for extra in extras
+        ]
+        yield S, [
+            (ordering, label_J(S, extra))
+            for w, extra in rng.sample(pool, min(sample, len(pool)))
+            for ordering in set(itertools.permutations(w))
+        ]
+
+
+@pytest.mark.parametrize("r, k, d_L, sample", [(1, 4, 2, None), (2, 2, 3, None), (1, 4, 3, 40)])
+def test_values_are_symmetric_in_the_components(r, k, d_L, sample):
+    # The components of w are one per embedding of L, and the check walks
+    # one w per multiset of them: every ordering of w must give one value
+    # on each route, and the two routes must agree on it.
+    for S, labels in every_ordering(r, k, d_L, sample):
+        for (w, J), (formula, oracle) in ordering_values(S, labels).items():
+            assert len(formula) == 1 and formula == oracle, (S, w, J, formula, oracle)
+
+
+def position_weighted_fold(w, S, top, memo):
+    """``_fold`` with the entries off the empty mask of the i-th
+    component's table counted i + 1 times: an OR-convolution that is not
+    symmetric in the components."""
+    folded = {0: 1}
+    for i, comp in enumerate(w):
+        table = steinberg_mult._component_table(comp, S, top, memo)
+        step = {}
+        for outer_a, va in folded.items():
+            for outer_b, vb in table.items():
+                if not outer_b & ~top:
+                    key = outer_a | outer_b
+                    step[key] = step.get(key, 0) + va * vb * (i + 1 if outer_b else 1)
+        folded = step
+    return folded
+
+
+def test_position_weighted_fold_breaks_the_symmetry(monkeypatch):
+    # The symmetry test must catch a fold that tells the components apart
+    # by position: some orderings of one w give different formula values.
+    monkeypatch.setattr(steinberg_mult, "_fold", position_weighted_fold)
+    assert any(
+        len(formula) > 1
+        for S, labels in every_ordering(2, 2, 3)
+        for formula, _ in ordering_values(S, labels).values()
+    )
+
+
+def test_multiset_listing_is_the_sorted_w_of_the_listing():
+    # With multisets, _label_groups keeps exactly the groups of the full
+    # listing whose components do not decrease, in the same order, and
+    # every multiset of the full listing has one of them.
+    for r, k, d_L in [(1, 4, 2), (2, 2, 3), (4, 1, 3), (2, 3, 2)]:
+        for S in all_blocksets(r, k):
+            full = _label_groups(S, d_L, None)
+            ms = _label_groups(S, d_L, None, multisets=True)
+            assert ms == [g for g in full if list(g[0]) == sorted(g[0])]
+            assert len(ms) == len({tuple(sorted(w)) for w, _, _ in full})
+
+
+def record_first_args(monkeypatch, *names):
+    """Patch each steinberg_mult.<name> to record its first argument, w,
+    in one list per name; return the lists."""
+    lists = []
+    for name in names:
+        fn, seen = getattr(steinberg_mult, name), []
+        monkeypatch.setattr(
+            steinberg_mult, name, lambda w, *args, fn=fn, seen=seen: seen.append(w) or fn(w, *args)
+        )
+        lists.append(seen)
+    return lists
+
+
+def test_check_walks_one_w_per_multiset(monkeypatch):
+    # The formula folds and the oracle transforms once per multiset of
+    # components, on its sorted w, never once per w.
+    for S in all_blocksets(2, 2):
+        with monkeypatch.context() as m:
+            folded, walked = record_first_args(m, "_fold", "_oracle_values")
+            assert analytic_tits_euler_check(S, 3)
+        multisets = sorted({tuple(sorted(w)) for w, _, _ in _label_groups(S, 3, None)})
+        assert folded == walked and sorted(walked) == multisets
+
+
+def test_listing_folds_each_multiset_once(monkeypatch):
+    # The listing has every w, but hands one fold's values to every
+    # ordering of a multiset; the first ordering in label order is folded.
+    for S in all_blocksets(2, 2):
+        with monkeypatch.context() as m:
+            (folded,) = record_first_args(m, "_fold")
+            enumerate_constituents(S, 3)
+        multisets = sorted({tuple(sorted(w)) for w, _, _ in _label_groups(S, 3, None)})
+        assert sorted(folded) == multisets
+
+
+def test_oracle_builds_one_cube_per_J_top(monkeypatch):
+    # _oracle_values keeps one _cube per J_top minus S in the dict it is
+    # passed, not one per w.
+    cubes = []
+    cube = steinberg_mult._cube
+    for S in all_blocksets(1, 4):
+        groups = _label_groups(S, 2, None)
+        memo = {}
+        cubes.clear()
+        with monkeypatch.context() as m:
+            m.setattr(
+                steinberg_mult, "_cube", lambda base, free: cubes.append(free) or cube(base, free)
+            )
+            for w, _, extras in groups:
+                _oracle_values(w, S, extras, memo)
+        assert sorted(cubes) == sorted({max(extras) for _, _, extras in groups})
+
+
 @pytest.mark.parametrize("r, k, d_L", [(1, 4, 2), (2, 3, 1), (3, 2, 2)])
 def test_generated_labels_pass_the_preconditions(r, k, d_L):
     # _formula_values does not check its labels; every label that
@@ -216,11 +352,15 @@ def test_formula_asks_each_kl_value_once_per_call(monkeypatch, r, k, d_L, route)
 
 
 def test_label_bound_stops_the_listing_before_it_is_built():
-    # 6^30 and 120^4 w: each call must raise at once.
+    # 6^30, 120^4 and 120^3 w: each call must raise at once.  The check
+    # walks multisets, but the bound counts every w: (1,5,3) has 1,728,000
+    # w, over the bound, and only 295,240 multisets.
     with pytest.raises(BoundExceededError, match="label bound"):
         enumerate_constituents(BlockSet(1, 3), 30)
     with pytest.raises(BoundExceededError, match="label bound"):
         analytic_tits_euler_check(BlockSet(1, 5), 4)
+    with pytest.raises(BoundExceededError, match="label bound"):
+        analytic_tits_euler_check(BlockSet(1, 5), 3)
 
 
 def test_label_bound_rejects_before_any_prefix_is_built():

@@ -56,14 +56,6 @@ class BlockSet(_Frozen):
         """
         return frozenset(i for i in range(1, self.n) if i % self.r != 0)
 
-    def complement(self) -> "BlockSet":
-        """Complementary block set inside {1, ..., k-1}.
-
-        >>> sorted(BlockSet(1, 4, frozenset({2})).complement().members)
-        [1, 3]
-        """
-        return BlockSet(self.r, self.k, frozenset(range(1, self.k)) - self.members)
-
     def partition(self) -> tuple[int, ...]:
         """Ordered partition of k given by the gaps of members in {1,...,k-1}.
 

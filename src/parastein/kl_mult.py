@@ -2,7 +2,9 @@
 
 Polynomials in the formal variable q are stored as tuples of integer
 coefficients, index = power, trailing zeros trimmed.  ``kl_poly`` runs
-the standard left-descent recursion with a shared memo table.  Where a
+the standard left-descent recursion with one memo table, the only one
+in the package that outlives a call: it holds the P_{x,w} and the Bruhat
+down-sets the recursion walks, and the cap counts both.  Where a
 left descent s of w is also one of x, ``_kl`` sums P_{sx,sw}, q P_{x,sw}
 and the mu-terms into one list of l(w) // 2 + 1 coefficients, long
 enough for every term, and trims it once;
@@ -35,12 +37,23 @@ ONE: Poly = (1,)
 
 _CACHE_CAP_ENV = "PARASTEIN_KL_CACHE_CAP"
 
-_kl_cache: dict[tuple[Perm, Perm], Poly] = {}
+# P_{x,w} under (x, w), the down-set of v under v: ints never equal two Perms.
+_kl_cache: dict[tuple[Perm, Perm] | Perm, Poly | frozenset[Perm]] = {}
 
 
 def _cache_cap() -> int | None:
     raw = os.environ.get(_CACHE_CAP_ENV)
+    if raw and not (raw.isascii() and raw.isdigit()):
+        raise ValueError(f"{_CACHE_CAP_ENV} must be a non-negative integer, got {raw!r}")
     return int(raw) if raw else None
+
+
+def _store(key: tuple[Perm, Perm] | Perm, value, cap: int | None):
+    """Insert ``value`` under ``key`` unless the memo holds ``cap`` entries."""
+    if cap is not None and len(_kl_cache) >= cap:
+        raise BoundExceededError(f"KL memo table exceeded the configured cap of {cap} entries")
+    _kl_cache[key] = value
+    return value
 
 
 def poly_trim(coeffs: list[int]) -> Poly:
@@ -81,8 +94,9 @@ def _kl(x: Perm, w: Perm, cap: int | None = ...) -> Poly:
     entries (None: no cap).  By default the cap is read from
     PARASTEIN_KL_CACHE_CAP at the first memo miss and passed down, so a
     public call reads it once if it misses the memo and never on a hit.
-    The cap is checked where an entry is inserted, so frames that
-    recursed before the memo filled cannot push it past the cap.  Every
+    Polynomials and down-sets (never empty: each holds the identity) go
+    in through ``_store``, which checks the cap, so frames that recursed
+    before the memo filled cannot push it past the cap.  Every
     left descent is tested by index: i descends on y exactly when
     y^{-1}(i) > y^{-1}(i + 1)."""
     key = (x, w)
@@ -115,7 +129,7 @@ def _kl(x: Perm, w: Perm, cap: int | None = ...) -> Poly:
                 acc[i] += c
             for i, c in enumerate(p_x, 1):
                 acc[i] += c
-            for z in bruhat_downset(v):
+            for z in _kl_cache.get(v) or _store(v, bruhat_downset(v), cap):
                 lz = length(z)
                 if (lw - lz) % 2:  # l(v) - l(z) even, as l(v) = l(w) - 1
                     continue
@@ -131,12 +145,7 @@ def _kl(x: Perm, w: Perm, cap: int | None = ...) -> Poly:
                     for i, c in enumerate(_kl(x, z, cap), target + 1):
                         acc[i] -= mu * c
             result = poly_trim(acc)
-    if cap is not None and len(_kl_cache) >= cap:
-        raise BoundExceededError(
-            f"KL memo table exceeded the configured cap of {cap} entries"
-        )
-    _kl_cache[key] = result
-    return result
+    return _store(key, result, cap)
 
 
 def kl_mu(z: Perm, v: Perm) -> int:

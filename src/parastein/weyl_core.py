@@ -13,8 +13,7 @@ are tuples of ``d_L`` permutations of the same rank.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
-from operator import attrgetter, le
+from operator import attrgetter
 
 Perm = tuple[int, ...]
 MultiWeyl = tuple[Perm, ...]
@@ -270,11 +269,10 @@ def enumerate_parabolic(n: int, roots: frozenset[int] | set[int]) -> list[Perm]:
     ]
 
 
-@lru_cache(maxsize=None)
 def bruhat_downset(w: Perm) -> frozenset[Perm]:
     """{x : x <= w in Bruhat order}, via the subword property applied to one
-    fixed reduced word of w.  The KL recursion walks it; ``bruhat_leq``
-    decides single pairs without it.
+    fixed reduced word of w.  Uncached: ``_kl`` keeps each down-set it
+    walks in its memo; ``bruhat_leq`` decides single pairs without it.
 
     >>> sorted(length(x) for x in bruhat_downset((2, 1, 4, 3)))
     [0, 1, 1, 2]
@@ -287,22 +285,12 @@ def bruhat_downset(w: Perm) -> frozenset[Perm]:
     return frozenset(down)
 
 
-@lru_cache(maxsize=None)
-def _rank_table(w: Perm) -> tuple[int, ...]:
-    # #{a <= i : w(a) >= j} for 1 <= i, j <= n, flattened row by row.
-    row = [0] * len(w)
-    table: list[int] = []
-    for wi in w:
-        for j in range(wi):
-            row[j] += 1
-        table += row
-    return tuple(table)
-
-
 def bruhat_leq(x: Perm, w: Perm) -> bool:
     """Bruhat order test by the rank-matrix criterion: x <= w iff
     #{a <= i : x(a) >= j} <= #{a <= i : w(a) >= j} for all i, j
-    (Björner-Brenti, Thm 2.1.5).
+    (Björner-Brenti, Thm 2.1.5).  One scan over i keeps w's count minus
+    x's per threshold j: position i adds 1 on (x(i), w(i)], subtracts 1
+    on (w(i), x(i)], and a count that would go negative answers False.
 
     >>> bruhat_leq((1, 2, 3, 4), (3, 4, 1, 2))
     True
@@ -313,7 +301,17 @@ def bruhat_leq(x: Perm, w: Perm) -> bool:
     """
     if len(x) != len(w):
         raise ValueError("rank mismatch in bruhat_leq")
-    return all(map(le, _rank_table(x), _rank_table(w)))
+    diff = [0] * len(w)  # diff[j - 1] at threshold j
+    for xi, wi in zip(x, w):
+        if xi < wi:
+            for j in range(xi, wi):
+                diff[j] += 1
+        else:
+            for j in range(wi, xi):
+                if not diff[j]:
+                    return False
+                diff[j] -= 1
+    return True
 
 
 # ---------------------------------------------------------------------------

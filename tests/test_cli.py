@@ -406,6 +406,24 @@ def test_kl_cache_cap_exit_3(capsys, monkeypatch):
     assert code == 3 and list(doc) == ["error"]
 
 
+@pytest.mark.parametrize("cap", ["abc", "1e3", "-5", "+5", " 5", "5.0"])
+def test_kl_cache_cap_not_a_count_exit_2(capsys, monkeypatch, cap):
+    monkeypatch.setenv("PARASTEIN_KL_CACHE_CAP", cap)
+    kl_cache_clear()
+    code, doc = run(capsys, "kl", "--n", "5", "--x", "e", "--w", "[5,4,3,2,1]")
+    assert code == 2 and list(doc) == ["error"]
+    assert "PARASTEIN_KL_CACHE_CAP" in doc["error"] and repr(cap) in doc["error"]
+
+
+@pytest.mark.parametrize("cap, expected", [("0", 3), ("", 0), ("1000000", 0)])
+def test_kl_cache_cap_counts_are_read(capsys, monkeypatch, cap, expected):
+    # Zero is a count: every memo miss exceeds it.  Empty means no cap.
+    monkeypatch.setenv("PARASTEIN_KL_CACHE_CAP", cap)
+    kl_cache_clear()
+    code, _ = run(capsys, "kl", "--n", "5", "--x", "e", "--w", "[5,4,3,2,1]")
+    assert code == expected
+
+
 def test_cli_imports_every_module_and_not_click():
     # perfbench/tracing.py finds each traced module in sys.modules after
     # importing cli_io; click is no longer a dependency, and dataclasses

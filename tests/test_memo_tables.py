@@ -1,17 +1,32 @@
 """Which memo tables outlive a call.
 
-The Kazhdan-Lusztig memo ``kl_mult._kl_cache`` and the two ``lru_cache``s
-of ``weyl_core`` (``_rank_table`` and ``bruhat_downset``) are the only
-tables kept between calls.  Every other memo lives inside one call.
+The Kazhdan-Lusztig memo ``kl_mult._kl_cache`` is the only table kept
+between calls.  It holds the polynomials P_{x,w} and the Bruhat down-sets
+that the recursion walks, ``PARASTEIN_KL_CACHE_CAP`` bounds the two kinds
+of entry together, and ``kl_cache_clear()`` is the only reset the package
+needs.  The package has no ``lru_cache``, and every other memo lives
+inside one call.
 """
 
 import importlib
 import pkgutil
 from collections.abc import MutableMapping, MutableSequence, MutableSet
 
+import pytest
+
 import parastein
+from parastein import kl_mult
 from parastein.cosets import double_coset_count_oracle, matrix_count
-from parastein.weyl_core import enumerate_parabolic, reduced_word, support
+from parastein.kl_mult import kl_cache_clear, kl_cache_size, kl_poly
+from parastein.weyl_core import (
+    BoundExceededError,
+    bruhat_downset,
+    bruhat_leq,
+    enumerate_parabolic,
+    identity,
+    reduced_word,
+    support,
+)
 
 
 def package_modules():
@@ -51,11 +66,39 @@ def table_sizes():
     return sizes
 
 
-def test_only_rank_table_and_downset_are_lru_caches():
-    assert set(lru_tables()) == {
-        "parastein.weyl_core._rank_table",
-        "parastein.weyl_core.bruhat_downset",
-    }
+# Taken when pytest imports this file, before any test has run.
+IMPORT_SIZES = table_sizes()
+
+W0_5 = (5, 4, 3, 2, 1)
+W0_6 = (6, 5, 4, 3, 2, 1)
+
+
+def is_downset_key(key):
+    # Down-sets are keyed by v alone, polynomials by the pair (x, w).
+    return isinstance(key[0], int)
+
+
+def test_package_has_no_lru_cache():
+    assert lru_tables() == {}
+
+
+def test_cold_kl_call_grows_only_the_kl_memo(monkeypatch):
+    monkeypatch.delenv("PARASTEIN_KL_CACHE_CAP", raising=False)
+    kl_cache_clear()
+    before = table_sizes()
+    assert kl_poly(identity(6), W0_6) == (1,)
+    after = table_sizes()
+    grown = {key for key in after if after[key] != before.get(key)}
+    assert grown == {"parastein.kl_mult._kl_cache"}
+    assert any(is_downset_key(key) for key in kl_mult._kl_cache)
+
+
+def test_kl_cache_clear_restores_import_time_sizes(monkeypatch):
+    monkeypatch.delenv("PARASTEIN_KL_CACHE_CAP", raising=False)
+    kl_poly(identity(5), W0_5)
+    assert kl_cache_size() > 0
+    kl_cache_clear()
+    assert table_sizes() == IMPORT_SIZES
 
 
 def test_uncached_helpers_leave_every_table_as_it_was():
@@ -65,4 +108,28 @@ def test_uncached_helpers_leave_every_table_as_it_was():
     assert len(enumerate_parabolic(6, {1, 2, 4})) == 12
     assert support((3, 1, 2, 5, 4)) == frozenset({1, 2, 4})
     assert reduced_word((3, 1, 2)) == (2, 1)
+    assert bruhat_leq((2, 1, 4, 3), (3, 4, 1, 2))
+    assert len(bruhat_downset((3, 4, 1, 2))) == 14
     assert table_sizes() == before
+
+
+def test_kl_cache_cap_counts_downsets(monkeypatch):
+    # Uncapped, the memo keeps its insertion order: find where the first
+    # down-set goes in, then cap the memo right there.  The call must
+    # stop at that insertion with the memo exactly at the cap, so the
+    # down-set went through the same cap check as a polynomial.  A cap a
+    # few entries later holds the same entries in the same order.
+    monkeypatch.delenv("PARASTEIN_KL_CACHE_CAP", raising=False)
+    kl_cache_clear()
+    kl_poly(identity(5), W0_5)
+    keys = list(kl_mult._kl_cache)
+    first = next(i for i, key in enumerate(keys) if is_downset_key(key))
+    assert first > 0
+    for cap in (first, first + 5):
+        monkeypatch.setenv("PARASTEIN_KL_CACHE_CAP", str(cap))
+        kl_cache_clear()
+        with pytest.raises(BoundExceededError, match=f"cap of {cap} entries"):
+            kl_poly(identity(5), W0_5)
+        assert kl_cache_size() == cap
+        assert list(kl_mult._kl_cache) == keys[:cap]
+    kl_cache_clear()

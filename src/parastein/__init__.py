@@ -34,7 +34,6 @@ from .steinberg_mult import (
     steinberg_multiplicity,
     steinberg_multiplicity_oracle,
 )
-from .weights_roots import dominance_set, dot_action, is_I_dominant, zero_weight
 from .weyl_core import (
     BoundExceededError,
     MultiWeyl,

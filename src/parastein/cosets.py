@@ -293,9 +293,3 @@ def double_coset_count_oracle(
     rows = tuple(len(b) for b in blocks_of_rootset(n, I_roots))
     cols = tuple(len(b) for b in blocks_of_rootset(n, J_roots))
     return matrix_count(rows, cols)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -24,10 +24,13 @@ from .cosets import BlockSet
 from .weyl_core import _Frozen
 
 
+KINDS = ("ind", "steinberg", "st-an", "sigma", "sigma-comp", "constituent", "levi-self")
+
+
 class RepDescriptor(_Frozen):
     """One side of an Ext query.
 
-    kind is one of:
+    kind is one of ``KINDS``:
       "ind"         - full parabolic induction labelled by a block set
       "steinberg"   - generalized Steinberg module labelled by a block set
       "st-an"       - the full analytic Steinberg module
@@ -172,9 +175,10 @@ def _analytic_e_dim(l_J: int, degree: int, d_L: int, fixed_center: bool, rule: s
 
 def ext_dim(q: ExtQuery) -> ExtAnswer:
     """Apply the first matching rule of the table; see the module
-    docstring for the outcome contract.  A descriptor whose blocks are
-    not inside 1..k-1, or whose sigma, sigma-comp or constituent index is
-    not in 1..k-1, names no representation and raises ValueError.
+    docstring for the outcome contract.  A descriptor whose kind is not
+    in ``KINDS``, whose blocks are not inside 1..k-1, or whose sigma,
+    sigma-comp or constituent index is not in 1..k-1, names no
+    representation and raises ValueError.
 
     >>> st = RepDescriptor("steinberg", frozenset({2}))
     >>> full = RepDescriptor("st-an")
@@ -189,6 +193,8 @@ def ext_dim(q: ExtQuery) -> ExtAnswer:
     k = q.k
     full = frozenset(range(1, k))
     for rep in (L, R):
+        if rep.kind not in KINDS:
+            raise ValueError(f"unknown descriptor kind: {rep.kind}")
         BlockSet(q.r, k, rep.blocks)  # raises on blocks outside 1..k-1
         if rep.kind in ("sigma", "sigma-comp", "constituent") and rep.index not in full:
             raise ValueError(f"{rep.kind} index {rep.index} out of range 1..{k - 1}")
@@ -270,9 +276,3 @@ def consistency_check_thm_main(r: int, k: int, d_L: int) -> bool:
         if char_group_dim("HomZIbar", I, d_L) != d_L + 1:
             return False
     return True
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -241,9 +241,3 @@ def _parabolic_verma_mult(r: int, k: int, mask: int, w: MultiWeyl, memo: dict) -
         if out == 0:
             return 0
     return out
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

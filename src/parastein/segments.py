@@ -165,9 +165,3 @@ def jh_factors(r: int, k: int) -> list[BlockSet]:
         for t in range(len(roots) + 1)
         for members in itertools.combinations(roots, t)
     ]
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -412,14 +412,6 @@ def _block_set(S: BlockSet, extra: int, block_sets: dict) -> BlockSet:
     return J
 
 
-def _admissible_labels(
-    S: BlockSet, d_L: int, max_len: int | None
-) -> list[tuple[MultiWeyl, BlockSet]]:
-    block_sets: dict[int, BlockSet] = {}
-    groups = _label_groups(S, d_L, max_len)
-    return [(w, _block_set(S, extra, block_sets)) for w, _, extras in groups for extra in extras]
-
-
 def enumerate_constituents(
     S: BlockSet, d_L: int, max_len: int | None = None
 ) -> list[tuple[ConstituentLabel, int]]:
@@ -617,9 +609,3 @@ def analytic_tits_euler_check(
             if m != oracle[extra]:
                 return False
     return True
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -370,9 +370,3 @@ def format_word(w: Perm) -> str:
     """
     word = reduced_word(w)
     return "*".join(f"s{a}" for a in word) if word else "e"
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -18,7 +18,6 @@ from parastein.ext_calc import (
 from parastein.kl_mult import kl_poly, parabolic_verma_mult
 from parastein.segments import jacquet_decomposition, jh_factors
 from parastein.steinberg_mult import (
-    _admissible_labels,
     analytic_tits_euler_check,
     smooth_tits_euler_check,
     steinberg_multiplicity,
@@ -31,6 +30,7 @@ from parastein.weyl_core import (
     inverse,
     length,
 )
+from weights_oracle import _admissible_labels
 
 
 CRITERIA: dict[str, tuple[int, str]] = {}

@@ -428,14 +428,20 @@ def test_cli_imports_every_module_and_not_click():
     # perfbench/tracing.py finds each traced module in sys.modules after
     # importing cli_io; click is no longer a dependency, and dataclasses
     # (which imports inspect) would cost every CLI process about 12 ms.
+    # The package is exactly these eight modules: the dot-action oracle
+    # lives in tests/weights_oracle.py, and the package exports none of it.
     src = os.path.dirname(os.path.dirname(cli_io.__file__))
     code = (
         "import parastein.cli_io, sys; "
         "slow = [m for m in ('click', 'dataclasses', 'inspect') if m in sys.modules]; "
         "assert not slow, slow; "
         "mods = ['weyl_core', 'cosets', 'kl_mult', 'steinberg_mult', 'segments', 'ext_calc']; "
-        "missing = [m for m in mods if 'parastein.' + m not in sys.modules]; "
-        "assert not missing, missing"
+        "loaded = {m for m in sys.modules if m.split('.')[0] == 'parastein'}; "
+        "expected = {'parastein', 'parastein.cli_io', *('parastein.' + m for m in mods)}; "
+        "assert loaded == expected, sorted(loaded ^ expected); "
+        "oracle = ('dominance_set', 'dot_action', 'is_I_dominant', 'zero_weight'); "
+        "exported = [n for n in oracle if hasattr(sys.modules['parastein'], n)]; "
+        "assert not exported, exported"
     )
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)

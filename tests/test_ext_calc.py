@@ -4,6 +4,7 @@ import pytest
 
 from parastein.cosets import BlockSet
 from parastein.ext_calc import (
+    KINDS,
     ExtQuery,
     RepDescriptor,
     char_group_dim,
@@ -258,3 +259,29 @@ def test_invalid_queries():
             for pair in ((left, right), (right, left)):
                 with pytest.raises(ValueError, match="out of range"):
                     ext_dim(ExtQuery(flavor, False, 1, *pair, 1, k, 2))
+
+
+def test_unknown_kinds_are_rejected():
+    # A misspelled kind names no representation, on either side; each of
+    # the seven documented kinds passes the check.
+    for bad in (RepDescriptor("St-an"), RepDescriptor("induced", frozenset({1}))):
+        for flavor in ("smooth", "analytic"):
+            for pair in ((stb(1), bad), (bad, stb(1))):
+                with pytest.raises(ValueError, match=f"unknown descriptor kind: {bad.kind}"):
+                    ext_dim(ExtQuery(flavor, False, 1, *pair, 1, 3, 1))
+    known = [
+        ind(1),
+        stb(1),
+        ST_AN,
+        RepDescriptor("sigma", frozenset(), 1, None),
+        sigma_comp(1),
+        constituent(1),
+        RepDescriptor("levi-self", frozenset({1})),
+    ]
+    assert sorted(rep.kind for rep in known) == sorted(KINDS)
+    for rep in known:
+        for flavor in ("smooth", "analytic"):
+            for pair in ((stb(1), rep), (rep, stb(1))):
+                assert ext_dim(ExtQuery(flavor, False, 1, *pair, 1, 3, 1)).status in (
+                    "dimension", "zero", "not-determined"
+                )

@@ -16,7 +16,6 @@ from parastein.kl_mult import (
 )
 from parastein.steinberg_mult import (
     GrothVector,
-    _admissible_labels,
     _check_preconditions,
     _cube,
     _label_groups,
@@ -39,6 +38,7 @@ from parastein.weyl_core import (
     length,
     support,
 )
+from weights_oracle import _admissible_labels
 
 
 def all_blocksets(r, k):

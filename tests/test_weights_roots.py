@@ -5,20 +5,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from parastein.cosets import BlockSet
-from parastein.steinberg_mult import _admissible_labels
-from parastein.weights_roots import (
-    dominance_set,
-    dot_action,
-    is_I_dominant,
-    rho_shifted,
-    zero_weight,
-)
 from parastein.weyl_core import (
     enumerate_group,
     identity,
     inverse,
     left_ascents,
     multiply,
+)
+from weights_oracle import (
+    _admissible_labels,
+    dominance_set,
+    dot_action,
+    is_I_dominant,
+    rho_shifted,
+    zero_weight,
 )
 
 

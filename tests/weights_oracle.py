@@ -1,4 +1,11 @@
-"""Integral weights over embeddings, the shifted dot action, and dominance.
+"""Integral weights over embeddings, the shifted dot action, and dominance:
+the tests' independent check of the constituent labels.
+
+The paper labels the constituents of a generalized Steinberg module by
+the w whose shifted zero weight is dominant for the inner roots plus S.
+The package decides this from the left ascents of w's components; this
+module decides it from the definition, and ``_admissible_labels`` lists
+the labels the package's enumeration starts from.
 
 A weight is a ``d_L x n`` integer matrix stored as a tuple of rows, one
 row per embedding.  The half-sum of positive roots is stored with the
@@ -9,7 +16,9 @@ integers.
 
 from __future__ import annotations
 
-from .weyl_core import MultiWeyl, inverse
+from parastein.cosets import BlockSet
+from parastein.steinberg_mult import _block_set, _label_groups
+from parastein.weyl_core import MultiWeyl, inverse
 
 Weight = tuple[tuple[int, ...], ...]
 
@@ -99,7 +108,15 @@ def dominance_set(w: MultiWeyl, lam: Weight) -> frozenset[int]:
     )
 
 
-if __name__ == "__main__":
-    import doctest
+def _admissible_labels(
+    S: BlockSet, d_L: int, max_len: int | None
+) -> list[tuple[MultiWeyl, BlockSet]]:
+    """Every label (w, J) that ``enumerate_constituents`` considers, zero
+    multiplicities included, in its label order.
 
-    doctest.testmod()
+    >>> [(w, sorted(J.members)) for w, J in _admissible_labels(BlockSet(1, 2), 1, None)]
+    [(((1, 2),), []), (((1, 2),), [1]), (((2, 1),), [])]
+    """
+    block_sets: dict[int, BlockSet] = {}
+    groups = _label_groups(S, d_L, max_len)
+    return [(w, _block_set(S, extra, block_sets)) for w, _, extras in groups for extra in extras]

@@ -3,14 +3,16 @@
 Polynomials in the formal variable q are stored as tuples of integer
 coefficients, index = power, trailing zeros trimmed.  ``kl_poly`` runs
 the standard left-descent recursion with one memo table, the only one
-in the package that outlives a call: it holds the P_{x,w} and the Bruhat
-down-sets the recursion walks, and the cap counts both.  Where a
-left descent s of w is also one of x, ``_kl`` sums P_{sx,sw}, q P_{x,sw}
-and the mu-terms into one list of l(w) // 2 + 1 coefficients, long
-enough for every term, and trims it once;
+in the package that outlives a call: it holds the P_{x,w} with x < w
+in Bruhat order and the Bruhat down-sets the recursion walks, and the
+cap counts both.  P_{w,w} = 1 and the P_{x,w} = 0 with x not below w
+are answered before the memo's cap is read and are never stored.
+Where a left descent s of w is also one of x, ``_kl`` sums P_{sx,sw},
+q P_{x,sw} and the mu-terms into one list of l(w) // 2 + 1
+coefficients, long enough for every term, and trims it once;
 ``verma_mult`` evaluates at q = 1 and multiplies over embeddings;
 ``parabolic_verma_mult`` applies the alternating character formula over
-a parabolic subgroup.
+a parabolic subgroup, skipping the u longer than the component.
 """
 
 from __future__ import annotations
@@ -91,61 +93,62 @@ def kl_poly(x: Perm, w: Perm) -> Poly:
 
 def _kl(x: Perm, w: Perm, cap: int | None = ...) -> Poly:
     """P_{x,w} through the memo table, which may hold at most ``cap``
-    entries (None: no cap).  By default the cap is read from
-    PARASTEIN_KL_CACHE_CAP at the first memo miss and passed down, so a
-    public call reads it once if it misses the memo and never on a hit.
-    Polynomials and down-sets (never empty: each holds the identity) go
-    in through ``_store``, which checks the cap, so frames that recursed
-    before the memo filled cannot push it past the cap.  Every
-    left descent is tested by index: i descends on y exactly when
+    entries (None: no cap).  After a memo miss, x == w answers ONE and
+    x not below w answers ZERO before anything else: neither is stored
+    nor reads the cap, so the memo holds only the P_{x,w} with x < w and
+    the down-sets, the entries that cost a recursion to rebuild.  By
+    default the cap is read from PARASTEIN_KL_CACHE_CAP at the first
+    nontrivial miss and passed down, so a public call reads it at most
+    once, and never on a hit or a trivial pair.  Polynomials and
+    down-sets (never empty: each holds the identity) go in through
+    ``_store``, which checks the cap, so frames that recursed before the
+    memo filled cannot push it past the cap.  Every left descent is
+    tested by index: i descends on y exactly when
     y^{-1}(i) > y^{-1}(i + 1)."""
     key = (x, w)
     cached = _kl_cache.get(key)
     if cached is not None:
         return cached
+    if x == w:
+        return ONE
+    if not bruhat_leq(x, w):
+        return ZERO
     if cap is ...:
         cap = _cache_cap()
-    if x == w:
-        result: Poly = ONE
-    elif not bruhat_leq(x, w):
-        result = ZERO
-    else:
-        n = len(w)
-        s_idx = next(i for i in range(1, n) if w.index(i) > w.index(i + 1))
-        s = simple_reflection(s_idx, n)
-        sx = multiply(s, x)
-        if x.index(s_idx) < x.index(s_idx + 1):
-            # s ascends on x, so l(sx) > l(x) and by left-descent
-            # invariance P_{x,w} = P_{sx,w}
-            result = _kl(sx, w, cap)
-        else:
-            v = multiply(s, w)  # shorter by one
-            p_sx = _kl(sx, v, cap)
-            p_x = _kl(x, v, cap)
-            lw = length(w)
-            # One coefficient list: no term has degree above l(w) / 2.
-            acc = [0] * (lw // 2 + 1)
-            for i, c in enumerate(p_sx):
-                acc[i] += c
-            for i, c in enumerate(p_x, 1):
-                acc[i] += c
-            for z in _kl_cache.get(v) or _store(v, bruhat_downset(v), cap):
-                lz = length(z)
-                if (lw - lz) % 2:  # l(v) - l(z) even, as l(v) = l(w) - 1
-                    continue
-                if z.index(s_idx) < z.index(s_idx + 1):
-                    continue
-                if not bruhat_leq(x, z):
-                    continue
-                # mu(z, v): the coefficient of q^{(l(v) - l(z) - 1)/2} in P_{z,v}
-                target = (lw - lz) // 2 - 1
-                p = _kl(z, v, cap)
-                if target < len(p) and p[target]:
-                    mu = p[target]
-                    for i, c in enumerate(_kl(x, z, cap), target + 1):
-                        acc[i] -= mu * c
-            result = poly_trim(acc)
-    return _store(key, result, cap)
+    n = len(w)
+    s_idx = next(i for i in range(1, n) if w.index(i) > w.index(i + 1))
+    s = simple_reflection(s_idx, n)
+    sx = multiply(s, x)
+    if x.index(s_idx) < x.index(s_idx + 1):
+        # s ascends on x, so l(sx) > l(x) and by left-descent
+        # invariance P_{x,w} = P_{sx,w}
+        return _store(key, _kl(sx, w, cap), cap)
+    v = multiply(s, w)  # shorter by one
+    p_sx = _kl(sx, v, cap)
+    p_x = _kl(x, v, cap)
+    lw = length(w)
+    # One coefficient list: no term has degree above l(w) / 2.
+    acc = [0] * (lw // 2 + 1)
+    for i, c in enumerate(p_sx):
+        acc[i] += c
+    for i, c in enumerate(p_x, 1):
+        acc[i] += c
+    for z in _kl_cache.get(v) or _store(v, bruhat_downset(v), cap):
+        lz = length(z)
+        if (lw - lz) % 2:  # l(v) - l(z) even, as l(v) = l(w) - 1
+            continue
+        if z.index(s_idx) < z.index(s_idx + 1):
+            continue
+        if not bruhat_leq(x, z):
+            continue
+        # mu(z, v): the coefficient of q^{(l(v) - l(z) - 1)/2} in P_{z,v}
+        target = (lw - lz) // 2 - 1
+        p = _kl(z, v, cap)
+        if target < len(p) and p[target]:
+            mu = p[target]
+            for i, c in enumerate(_kl(x, z, cap), target + 1):
+                acc[i] -= mu * c
+    return _store(key, poly_trim(acc), cap)
 
 
 def kl_mu(z: Perm, v: Perm) -> int:
@@ -220,22 +223,27 @@ def parabolic_verma_mult(K: BlockSet, w: MultiWeyl) -> int:
 def _parabolic_verma_mult(r: int, k: int, mask: int, w: MultiWeyl, memo: dict) -> int:
     """``parabolic_verma_mult`` for K of shape (r, k) and block mask
     ``mask`` (block i is bit i - 1), with ``memo`` keeping the rows
-    (u, l(u) mod 2) of each parabolic and each per-component alternating
-    sum, so callers that pass one dict build each of them once.  Keys
-    hold the mask but not the shape: one dict serves one (r, k).  Every
-    component must have rank r * k; callers check it at the boundary."""
+    (u, l(u)) of each parabolic and each per-component alternating sum,
+    so callers that pass one dict build each of them once.  A u longer
+    than the component is not below it, so its P_{u,comp} = 0 is skipped
+    without a KL lookup.  Keys hold the mask but not the shape: one dict
+    serves one (r, k).  Every component must have rank r * k; callers
+    check it at the boundary."""
     par = memo.get(mask)
     if par is None:
         roots = _parabolic_roots(r, k, mask)
-        par = memo[mask] = [(u, length(u) % 2) for u in enumerate_parabolic(r * k, roots)]
+        par = memo[mask] = [(u, length(u)) for u in enumerate_parabolic(r * k, roots)]
     out = 1
     for comp in w:
         acc = memo.get((mask, comp))
         if acc is None:
             acc = 0
-            for u, parity in par:
+            l_comp = length(comp)
+            for u, l_u in par:
+                if l_u > l_comp:
+                    continue
                 p = poly_eval_one(kl_poly(u, comp))
-                acc += -p if parity else p
+                acc += -p if l_u % 2 else p
             memo[mask, comp] = acc
         out *= acc
         if out == 0:

@@ -181,9 +181,11 @@ def steinberg_multiplicity(w: MultiWeyl, J: BlockSet, S: BlockSet) -> int:
 def _component_table(comp: Perm, S: BlockSet, top: int, memo: dict) -> dict:
     """{outer mask minus S: sum of (-1)^{l(u)} P_{u,comp}(1)} over u in
     the parabolic on the inner roots plus the blocks of the mask ``top``.
-    ``memo`` keeps the rows of each parabolic and one table per
-    component, so callers that pass one dict share them across labels.
-    The keys hold neither S nor its shape: one dict serves one S.
+    ``memo`` keeps the rows (u, outer mask minus S, l(u)) of each
+    parabolic and one table per component, so callers that pass one dict
+    share them across labels.  A u longer than ``comp`` is not below it,
+    so its P_{u,comp} = 0 is skipped without a KL lookup.  The keys hold
+    neither S nor its shape: one dict serves one S.
 
     A table is built over the ``top`` of the first fold that asks for it;
     later folds read only masks inside their own tops, which are no
@@ -198,14 +200,17 @@ def _component_table(comp: Perm, S: BlockSet, top: int, memo: dict) -> dict:
     if rows is None:
         r, off_s = S.r, ~_mask(S.members)
         rows = memo[top] = [
-            (u, sum(1 << (i // r - 1) for i in support(u) if i % r == 0) & off_s, length(u) % 2)
+            (u, sum(1 << (i // r - 1) for i in support(u) if i % r == 0) & off_s, length(u))
             for u in enumerate_parabolic(S.n, _parabolic_roots(r, S.k, top))
         ]
     table = {}
-    for u, outer, parity in rows:
+    l_comp = length(comp)
+    for u, outer, l_u in rows:
+        if l_u > l_comp:
+            continue
         val = poly_eval_one(kl_poly(u, comp))
         if val:
-            table[outer] = table.get(outer, 0) + (-val if parity else val)
+            table[outer] = table.get(outer, 0) + (-val if l_u % 2 else val)
     memo[comp] = table
     return table
 

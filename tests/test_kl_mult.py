@@ -200,7 +200,8 @@ def test_kl_cache_unset_cap_means_no_cap(monkeypatch):
 
 def test_kl_cache_cap_read_at_most_once_per_public_call(monkeypatch):
     # The recursion passes the cap down: one read per public call that
-    # misses the memo, however deep it recurses, and none on a hit.
+    # misses the memo on a pair x < w, however deep it recurses, and none
+    # on a hit or on a trivial pair.
     reads = []
     real_cap = kl_mult._cache_cap
     monkeypatch.setattr(kl_mult, "_cache_cap", lambda: reads.append(1) or real_cap())
@@ -215,6 +216,10 @@ def test_kl_cache_cap_read_at_most_once_per_public_call(monkeypatch):
     kl_poly(identity(5), W0_5)
     kl_mult.kl_mu(identity(5), v)
     assert len(reads) == 2
+    # A trivial miss reads nothing: (2,1,3,4,5) is not below (1,3,2,4,5).
+    size = kl_cache_size()
+    assert kl_poly((2, 1, 3, 4, 5), (1, 3, 2, 4, 5)) == ()
+    assert len(reads) == 2 and kl_cache_size() == size
 
 
 # Ten w in S6 of length 5 to 9, several holding the singular patterns 3412

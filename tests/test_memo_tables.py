@@ -1,11 +1,13 @@
 """Which memo tables outlive a call.
 
 The Kazhdan-Lusztig memo ``kl_mult._kl_cache`` is the only table kept
-between calls.  It holds the polynomials P_{x,w} and the Bruhat down-sets
-that the recursion walks, ``PARASTEIN_KL_CACHE_CAP`` bounds the two kinds
-of entry together, and ``kl_cache_clear()`` is the only reset the package
-needs.  The package has no ``lru_cache``, and every other memo lives
-inside one call.
+between calls.  It holds the nontrivial polynomials P_{x,w}, those with
+x < w in Bruhat order, and the Bruhat down-sets that the recursion walks.
+P_{w,w} = 1 and the P_{x,w} = 0 with x not below w are answered without
+the memo, its cap or the environment.  ``PARASTEIN_KL_CACHE_CAP`` bounds
+the two kinds of entry together, and ``kl_cache_clear()`` is the only
+reset the package needs.  The package has no ``lru_cache``, and every
+other memo lives inside one call.
 """
 
 import importlib
@@ -22,6 +24,7 @@ from parastein.weyl_core import (
     BoundExceededError,
     bruhat_downset,
     bruhat_leq,
+    enumerate_group,
     enumerate_parabolic,
     identity,
     reduced_word,
@@ -133,3 +136,38 @@ def test_kl_cache_cap_counts_downsets(monkeypatch):
         assert kl_cache_size() == cap
         assert list(kl_mult._kl_cache) == keys[:cap]
     kl_cache_clear()
+
+
+def test_trivial_pairs_skip_the_memo_and_the_cap(monkeypatch):
+    # (2,1,3,4,5) is not below (1,3,2,4,5): both have length 1.
+    reads = []
+    real_cap = kl_mult._cache_cap
+    monkeypatch.setattr(kl_mult, "_cache_cap", lambda: reads.append(1) or real_cap())
+    kl_cache_clear()
+    assert kl_poly((2, 1, 3, 4, 5), (1, 3, 2, 4, 5)) == ()
+    assert kl_poly(W0_5, W0_5) == (1,)
+    assert kl_cache_size() == 0
+    assert reads == []
+
+
+def test_cold_s5_sweep_keeps_only_pairs_x_below_w(monkeypatch):
+    monkeypatch.delenv("PARASTEIN_KL_CACHE_CAP", raising=False)
+    kl_cache_clear()
+    group = enumerate_group(5)
+    for w in group:
+        for x in group:
+            kl_poly(x, w)
+    pairs = [key for key in kl_mult._kl_cache if not is_downset_key(key)]
+    assert pairs
+    assert all(x != w and bruhat_leq(x, w) for x, w in pairs)
+    kl_cache_clear()
+
+
+def test_zero_cap_still_answers_trivial_pairs(monkeypatch):
+    monkeypatch.setenv("PARASTEIN_KL_CACHE_CAP", "0")
+    kl_cache_clear()
+    assert kl_poly((2, 1, 3, 4, 5), (1, 3, 2, 4, 5)) == ()
+    assert kl_poly(W0_5, W0_5) == (1,)
+    with pytest.raises(BoundExceededError, match="cap of 0 entries"):
+        kl_poly(identity(5), W0_5)
+    assert kl_cache_size() == 0

@@ -5,14 +5,14 @@ coefficients, index = power, trailing zeros trimmed.  ``kl_poly`` runs
 the standard left-descent recursion with one memo table, the only one
 in the package that outlives a call: it holds the P_{x,w} with x < w
 in Bruhat order and the Bruhat down-sets the recursion walks, and the
-cap counts both.  P_{w,w} = 1 and the P_{x,w} = 0 with x not below w
-are answered before the memo's cap is read and are never stored.
+cap, read at each insertion, counts both.  P_{w,w} = 1 and the
+P_{x,w} = 0 with x not below w are answered without the memo.
 Where a left descent s of w is also one of x, ``_kl`` sums P_{sx,sw},
 q P_{x,sw} and the mu-terms into one list of l(w) // 2 + 1
 coefficients, long enough for every term, and trims it once;
 ``verma_mult`` evaluates at q = 1 and multiplies over embeddings;
 ``parabolic_verma_mult`` applies the alternating character formula over
-a parabolic subgroup, skipping the u longer than the component.
+a parabolic subgroup, skipping the u whose length rules out u <= comp.
 """
 
 from __future__ import annotations
@@ -50,8 +50,9 @@ def _cache_cap() -> int | None:
     return int(raw) if raw else None
 
 
-def _store(key: tuple[Perm, Perm] | Perm, value, cap: int | None):
-    """Insert ``value`` under ``key`` unless the memo holds ``cap`` entries."""
+def _store(key: tuple[Perm, Perm] | Perm, value):
+    """Insert ``value`` under ``key`` unless the memo is at the cap."""
+    cap = _cache_cap()
     if cap is not None and len(_kl_cache) >= cap:
         raise BoundExceededError(f"KL memo table exceeded the configured cap of {cap} entries")
     _kl_cache[key] = value
@@ -91,19 +92,16 @@ def kl_poly(x: Perm, w: Perm) -> Poly:
     return _kl(x, w)
 
 
-def _kl(x: Perm, w: Perm, cap: int | None = ...) -> Poly:
-    """P_{x,w} through the memo table, which may hold at most ``cap``
-    entries (None: no cap).  After a memo miss, x == w answers ONE and
-    x not below w answers ZERO before anything else: neither is stored
-    nor reads the cap, so the memo holds only the P_{x,w} with x < w and
-    the down-sets, the entries that cost a recursion to rebuild.  By
-    default the cap is read from PARASTEIN_KL_CACHE_CAP at the first
-    nontrivial miss and passed down, so a public call reads it at most
-    once, and never on a hit or a trivial pair.  Polynomials and
-    down-sets (never empty: each holds the identity) go in through
-    ``_store``, which checks the cap, so frames that recursed before the
-    memo filled cannot push it past the cap.  Every left descent is
-    tested by index: i descends on y exactly when
+def _kl(x: Perm, w: Perm) -> Poly:
+    """P_{x,w} through the memo table.  After a memo miss, x == w
+    answers ONE and x not below w answers ZERO before anything else:
+    neither is stored, so the memo holds only the P_{x,w} with x < w and
+    the down-sets, the entries that cost a recursion to rebuild.
+    Polynomials and down-sets (never empty: each holds the identity) go
+    in through ``_store``, which reads and checks the cap at each
+    insertion, so a hit or a trivial pair never reads it, and frames that
+    recursed before the memo filled cannot push it past the cap.  Every
+    left descent is tested by index: i descends on y exactly when
     y^{-1}(i) > y^{-1}(i + 1)."""
     key = (x, w)
     cached = _kl_cache.get(key)
@@ -113,8 +111,6 @@ def _kl(x: Perm, w: Perm, cap: int | None = ...) -> Poly:
         return ONE
     if not bruhat_leq(x, w):
         return ZERO
-    if cap is ...:
-        cap = _cache_cap()
     n = len(w)
     s_idx = next(i for i in range(1, n) if w.index(i) > w.index(i + 1))
     s = simple_reflection(s_idx, n)
@@ -122,10 +118,10 @@ def _kl(x: Perm, w: Perm, cap: int | None = ...) -> Poly:
     if x.index(s_idx) < x.index(s_idx + 1):
         # s ascends on x, so l(sx) > l(x) and by left-descent
         # invariance P_{x,w} = P_{sx,w}
-        return _store(key, _kl(sx, w, cap), cap)
+        return _store(key, _kl(sx, w))
     v = multiply(s, w)  # shorter by one
-    p_sx = _kl(sx, v, cap)
-    p_x = _kl(x, v, cap)
+    p_sx = _kl(sx, v)
+    p_x = _kl(x, v)
     lw = length(w)
     # One coefficient list: no term has degree above l(w) / 2.
     acc = [0] * (lw // 2 + 1)
@@ -133,7 +129,7 @@ def _kl(x: Perm, w: Perm, cap: int | None = ...) -> Poly:
         acc[i] += c
     for i, c in enumerate(p_x, 1):
         acc[i] += c
-    for z in _kl_cache.get(v) or _store(v, bruhat_downset(v), cap):
+    for z in _kl_cache.get(v) or _store(v, bruhat_downset(v)):
         lz = length(z)
         if (lw - lz) % 2:  # l(v) - l(z) even, as l(v) = l(w) - 1
             continue
@@ -143,12 +139,12 @@ def _kl(x: Perm, w: Perm, cap: int | None = ...) -> Poly:
             continue
         # mu(z, v): the coefficient of q^{(l(v) - l(z) - 1)/2} in P_{z,v}
         target = (lw - lz) // 2 - 1
-        p = _kl(z, v, cap)
+        p = _kl(z, v)
         if target < len(p) and p[target]:
             mu = p[target]
-            for i, c in enumerate(_kl(x, z, cap), target + 1):
+            for i, c in enumerate(_kl(x, z), target + 1):
                 acc[i] -= mu * c
-    return _store(key, poly_trim(acc), cap)
+    return _store(key, poly_trim(acc))
 
 
 def kl_mu(z: Perm, v: Perm) -> int:
@@ -180,6 +176,8 @@ def verma_mult(wprime: MultiWeyl, w: MultiWeyl) -> int:
     >>> verma_mult(((2, 1),), ((1, 2),))
     0
     """
+    if not w:
+        raise ValueError("d_L must be at least 1, got 0")
     if len(wprime) != len(w):
         raise ValueError("shape mismatch in verma_mult")
     out = 1
@@ -224,9 +222,9 @@ def _parabolic_verma_mult(r: int, k: int, mask: int, w: MultiWeyl, memo: dict) -
     """``parabolic_verma_mult`` for K of shape (r, k) and block mask
     ``mask`` (block i is bit i - 1), with ``memo`` keeping the rows
     (u, l(u)) of each parabolic and each per-component alternating sum,
-    so callers that pass one dict build each of them once.  A u longer
-    than the component is not below it, so its P_{u,comp} = 0 is skipped
-    without a KL lookup.  Keys hold the mask but not the shape: one dict
+    so callers that pass one dict build each of them once.  A u other
+    than the component and at least as long is not below it, so its
+    P_{u,comp} = 0 is skipped without a KL lookup.  Keys hold the mask but not the shape: one dict
     serves one (r, k).  Every component must have rank r * k; callers
     check it at the boundary."""
     par = memo.get(mask)
@@ -240,7 +238,7 @@ def _parabolic_verma_mult(r: int, k: int, mask: int, w: MultiWeyl, memo: dict) -
             acc = 0
             l_comp = length(comp)
             for u, l_u in par:
-                if l_u > l_comp:
+                if l_u >= l_comp and u != comp:
                     continue
                 p = poly_eval_one(kl_poly(u, comp))
                 acc += -p if l_u % 2 else p

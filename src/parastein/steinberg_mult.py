@@ -183,9 +183,9 @@ def _component_table(comp: Perm, S: BlockSet, top: int, memo: dict) -> dict:
     the parabolic on the inner roots plus the blocks of the mask ``top``.
     ``memo`` keeps the rows (u, outer mask minus S, l(u)) of each
     parabolic and one table per component, so callers that pass one dict
-    share them across labels.  A u longer than ``comp`` is not below it,
-    so its P_{u,comp} = 0 is skipped without a KL lookup.  The keys hold
-    neither S nor its shape: one dict serves one S.
+    share them across labels.  A u other than ``comp`` and at least as
+    long is not below it, so its P_{u,comp} = 0 is skipped without a KL
+    lookup.  The keys hold neither S nor its shape: one dict serves one S.
 
     A table is built over the ``top`` of the first fold that asks for it;
     later folds read only masks inside their own tops, which are no
@@ -206,7 +206,7 @@ def _component_table(comp: Perm, S: BlockSet, top: int, memo: dict) -> dict:
     table = {}
     l_comp = length(comp)
     for u, outer, l_u in rows:
-        if l_u > l_comp:
+        if l_u >= l_comp and u != comp:
             continue
         val = poly_eval_one(kl_poly(u, comp))
         if val:
@@ -459,6 +459,8 @@ def tits_differential_sign(K_prime: BlockSet, K: BlockSet) -> int:
     >>> tits_differential_sign(BlockSet(1, 4, frozenset({1})), BlockSet(1, 4, frozenset({3})))
     0
     """
+    if K_prime.r != K.r or K_prime.k != K.k:
+        raise ValueError("mismatched block shapes")
     return _sign(_mask(K_prime.members), _mask(K.members))
 
 

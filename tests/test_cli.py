@@ -415,6 +415,15 @@ def test_kl_cache_cap_not_a_count_exit_2(capsys, monkeypatch, cap):
     assert "PARASTEIN_KL_CACHE_CAP" in doc["error"] and repr(cap) in doc["error"]
 
 
+@pytest.mark.parametrize("cap", ["abc", "0"])
+def test_kl_cache_cap_unread_on_a_trivial_pair(capsys, monkeypatch, cap):
+    # (2,1,3,4) is not below e: no insertion, so the cap is never read.
+    monkeypatch.setenv("PARASTEIN_KL_CACHE_CAP", cap)
+    kl_cache_clear()
+    code, doc = run(capsys, "kl", "--n", "4", "--x", "[2,1,3,4]", "--w", "e")
+    assert code == 0 and doc == {"coeffs": []}
+
+
 @pytest.mark.parametrize("cap, expected", [("0", 3), ("", 0), ("1000000", 0)])
 def test_kl_cache_cap_counts_are_read(capsys, monkeypatch, cap, expected):
     # Zero is a count: every memo miss exceeds it.  Empty means no cap.

@@ -125,6 +125,9 @@ def test_verma_mult():
     ) == 4
     with pytest.raises(ValueError):
         verma_mult((identity(3),), (identity(3), identity(3)))
+    # An empty w is bad input, as in parabolic_verma_mult and the CLI.
+    with pytest.raises(ValueError, match="d_L must be at least 1, got 0"):
+        verma_mult((), ())
 
 
 def test_verma_mult_support_condition():
@@ -198,28 +201,26 @@ def test_kl_cache_unset_cap_means_no_cap(monkeypatch):
     assert kl_cache_size() > 10
 
 
-def test_kl_cache_cap_read_at_most_once_per_public_call(monkeypatch):
-    # The recursion passes the cap down: one read per public call that
-    # misses the memo on a pair x < w, however deep it recurses, and none
-    # on a hit or on a trivial pair.
+def test_kl_cache_cap_read_at_each_insertion(monkeypatch):
+    # _store reads the cap before every insertion, down-sets included,
+    # so a cold call reads it once per entry it leaves in the memo.
+    monkeypatch.delenv("PARASTEIN_KL_CACHE_CAP", raising=False)
     reads = []
     real_cap = kl_mult._cache_cap
     monkeypatch.setattr(kl_mult, "_cache_cap", lambda: reads.append(1) or real_cap())
     kl_cache_clear()
-    kl_poly(identity(5), W0_5)
-    assert len(reads) == 1 and kl_cache_size() > 1
-    v = (4, 5, 3, 2, 1)
-    assert (identity(5), v) not in kl_mult._kl_cache
-    kl_mult.kl_mu(identity(5), v)
-    assert len(reads) == 2
+    assert kl_poly(identity(5), W0_5) == (1,)
+    assert len(reads) == kl_cache_size() > 1
     # Memo hits read nothing.
+    reads.clear()
     kl_poly(identity(5), W0_5)
-    kl_mult.kl_mu(identity(5), v)
-    assert len(reads) == 2
+    kl_mu(identity(5), (1, 2, 3, 5, 4))
+    assert reads == []
     # A trivial miss reads nothing: (2,1,3,4,5) is not below (1,3,2,4,5).
     size = kl_cache_size()
     assert kl_poly((2, 1, 3, 4, 5), (1, 3, 2, 4, 5)) == ()
-    assert len(reads) == 2 and kl_cache_size() == size
+    assert reads == [] and kl_cache_size() == size
+    kl_cache_clear()
 
 
 # Ten w in S6 of length 5 to 9, several holding the singular patterns 3412

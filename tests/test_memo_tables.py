@@ -5,9 +5,10 @@ between calls.  It holds the nontrivial polynomials P_{x,w}, those with
 x < w in Bruhat order, and the Bruhat down-sets that the recursion walks.
 P_{w,w} = 1 and the P_{x,w} = 0 with x not below w are answered without
 the memo, its cap or the environment.  ``PARASTEIN_KL_CACHE_CAP`` bounds
-the two kinds of entry together, and ``kl_cache_clear()`` is the only
-reset the package needs.  The package has no ``lru_cache``, and every
-other memo lives inside one call.
+the two kinds of entry together and is read at each insertion, so a
+malformed value fails before anything is stored.  ``kl_cache_clear()``
+is the only reset the package needs.  The package has no ``lru_cache``,
+and every other memo lives inside one call.
 """
 
 import importlib
@@ -169,5 +170,14 @@ def test_zero_cap_still_answers_trivial_pairs(monkeypatch):
     assert kl_poly((2, 1, 3, 4, 5), (1, 3, 2, 4, 5)) == ()
     assert kl_poly(W0_5, W0_5) == (1,)
     with pytest.raises(BoundExceededError, match="cap of 0 entries"):
+        kl_poly(identity(5), W0_5)
+    assert kl_cache_size() == 0
+
+
+def test_malformed_cap_fails_before_any_insert(monkeypatch):
+    monkeypatch.setenv("PARASTEIN_KL_CACHE_CAP", "abc")
+    kl_cache_clear()
+    assert kl_poly((2, 1, 3, 4, 5), (1, 3, 2, 4, 5)) == ()
+    with pytest.raises(ValueError, match="PARASTEIN_KL_CACHE_CAP"):
         kl_poly(identity(5), W0_5)
     assert kl_cache_size() == 0

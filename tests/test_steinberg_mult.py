@@ -550,6 +550,9 @@ def test_tits_differential_sign():
     assert tits_differential_sign(K13, BlockSet(1, 4, frozenset({3}))) == -1
     assert tits_differential_sign(K13, BlockSet(1, 4, frozenset({1}))) == 1
     assert tits_differential_sign(BlockSet(1, 4, frozenset({1})), K13) == 0
+    # Both n = 4, but blocks of size 1 against blocks of size 2.
+    with pytest.raises(ValueError, match="mismatched block shapes"):
+        tits_differential_sign(BlockSet(1, 4, frozenset({1})), BlockSet(2, 2))
 
 
 def sorted_index_sign(K_prime, K):

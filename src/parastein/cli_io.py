@@ -58,7 +58,9 @@ def _parse_multiweyl(text: str, n: int, d_L: int) -> MultiWeyl:
     # d_L first: the component count below means nothing for d_L < 1.
     if d_L < 1:
         raise ValueError(f"d_L must be at least 1, got {d_L}")
-    parts = [p for p in text.split(";") if p.strip()]
+    parts = text.split(";")
+    if not all(p.strip() for p in parts):
+        raise ValueError(f"empty component in {text!r}")
     if len(parts) == 1 and d_L > 1:
         parts = parts * d_L
     if len(parts) != d_L:

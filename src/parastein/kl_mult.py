@@ -39,7 +39,8 @@ ONE: Poly = (1,)
 
 _CACHE_CAP_ENV = "PARASTEIN_KL_CACHE_CAP"
 
-# P_{x,w} under (x, w), the down-set of v under v: ints never equal two Perms.
+# P_{x,w} under (x, w), the down-set of v under v.  A down-set key v is a
+# tuple of ints and a pair key (x, w) a tuple of two Perms, so they never meet.
 _kl_cache: dict[tuple[Perm, Perm] | Perm, Poly | frozenset[Perm]] = {}
 
 

@@ -13,23 +13,24 @@ w and the mask of J minus S.  Both routes are symmetric in the d_L
 components of w, one per embedding of L: the formula's fold is a
 commutative OR-convolution, the oracle's multiplicity a product over
 components, and J_top and the length do not see their order.  So
-``analytic_tits_euler_check`` walks one w per multiset of components,
-and ``enumerate_constituents`` lists every w but folds each multiset
-once and hands its values to every ordering.  The formula OR-folds the
-components' tables, keyed by outer support minus S, and reads each
-label with one lookup.  It builds one table per component per call,
-over the largest J_top among the w that hold that component, which
-answers every smaller J_top; each fold cuts the tables down to its own
-J_top.  The oracle sums its signed generalized Verma multiplicities
-over every K between S and J_top by one subset-sum transform.  Each
-route keeps its own per-call dict, so a value is computed once per call
-but never passed from one route to the other, and the check stays
-independent.  The smooth Euler check is the same transform on a signed
-indicator, and ``check_complex_squares_zero`` keeps its signs as int
-bitsets.  All three list masks in cube order (``_cube``), where flipping
-a block flips one bit of the list index, so the transform is list
-arithmetic.  ``GrothVector``, a finitely supported integer-valued
-function on opaque labels, is kept for callers; no check uses it.
+``analytic_tits_euler_check`` walks one w per multiset of components and
+folds and transforms each, and ``enumerate_constituents`` lists every w
+but folds each multiset once and hands its values to every ordering.
+The formula OR-folds the components' tables, keyed by outer support
+minus S, and reads each label with one lookup.  It builds one table per
+component per call, over the largest J_top among the w that hold that
+component, which answers every smaller J_top; each fold cuts the tables
+down to its own J_top.  The oracle sums its signed generalized Verma
+multiplicities over every K between S and J_top by one subset-sum
+transform.  Each route keeps its own per-call dict, so a value is
+computed once per call but never passed from one route to the other, and
+the check stays independent.  The smooth Euler check is the same
+transform on a signed indicator, and ``check_complex_squares_zero``
+keeps its signs as int bitsets.  All three list masks in cube order
+(``_cube``), where flipping a block flips one bit of the list index, so
+the transform is list arithmetic.  ``GrothVector``, a finitely supported
+integer-valued function on opaque labels, is kept for callers; no check
+uses it.
 """
 
 from __future__ import annotations
@@ -157,11 +158,10 @@ def steinberg_multiplicity(w: MultiWeyl, J: BlockSet, S: BlockSet) -> int:
     on the inner roots plus J are the u of the one on the inner roots
     plus J' whose outer support lies in J, and an OR of masks lies in J
     exactly when each mask does.  So ``enumerate_constituents`` and
-    ``analytic_tits_euler_check`` fold each multiset of components once
-    (see ``_formula_values``), with tables over J_top = S plus the ascent
-    blocks of w or over a larger top (see ``_component_table``), and read
-    every label (w, J) off that fold.  This function folds over its own
-    J.
+    ``analytic_tits_euler_check`` fold each multiset of components once,
+    with tables over J_top = S plus the ascent blocks of w or over a
+    larger top (see ``_component_table``), and read every label (w, J)
+    off that fold.  This function folds over its own J.
 
     >>> from .cosets import BlockSet
     >>> empty = BlockSet(2, 2)
@@ -248,25 +248,6 @@ def _read_fold(folded: dict, extra: int) -> int:
     return -m if extra.bit_count() % 2 else m
 
 
-def _formula_values(S: BlockSet, d_L: int, max_len: int | None, multisets: bool = False):
-    """Yield (w, extras, [m(w, J, S) per label]) for each w of
-    ``_label_groups(S, d_L, max_len, multisets)``, in label order, with
-    ``extras`` as there.  A value is symmetric in the components of w, and
-    the w with the same components have the same ascent blocks and so the
-    same ``extras``; so one fold is made per multiset of components, over
-    its J_top, and its value list is handed to every ordering of it, kept
-    in a per-call dict keyed by the sorted components."""
-    memo: dict = {}
-    by_multiset: dict[MultiWeyl, list[int]] = {}
-    for w, top, extras in _label_groups(S, d_L, max_len, multisets):
-        key = tuple(sorted(w))
-        values = by_multiset.get(key)
-        if values is None:
-            folded = _fold(w, S, top, memo)
-            values = by_multiset[key] = [_read_fold(folded, extra) for extra in extras]
-        yield w, extras, values
-
-
 def steinberg_multiplicity_oracle(w: MultiWeyl, J: BlockSet, S: BlockSet) -> int:
     """Independent cross-check: inclusion-exclusion over the block sets K
     between S and J of generalized Verma multiplicities, with sign
@@ -283,22 +264,20 @@ def steinberg_multiplicity_oracle(w: MultiWeyl, J: BlockSet, S: BlockSet) -> int
     """
     _check_preconditions(w, J, S)
     extra = _mask(J.members - S.members)
-    return _oracle_values(w, S, _cube(0, extra), {})[extra]
+    return _oracle_values(w, S, extra, {})[extra]
 
 
-def _oracle_values(w: MultiWeyl, S: BlockSet, extras: list, memo: dict) -> dict:
-    """{mask of J minus S: the oracle's value at (w, J, S)} for the masks
-    ``extras`` of J minus S, which must be those of every J between S
-    and some J_top.  Each K among them gives one signed generalized
-    Verma multiplicity F(K) = (-1)^{|K minus S|} m_K(w); the value at J
-    is the sum of F(K) over the K inside J.  F is listed in ``_cube``
-    order over J_top minus S, the largest extra, and one ``_subset_sums``
-    gives the value at every J at once.  ``memo`` is passed on to
-    ``_parabolic_verma_mult``, so callers that pass one dict build each
-    K's rows and per-component sums once, and it keeps one ``_cube`` per
-    J_top minus S.  One dict serves one (r, k)."""
+def _oracle_values(w: MultiWeyl, S: BlockSet, top: int, memo: dict) -> dict:
+    """{mask of J minus S: the oracle's value at (w, J, S)} for every J
+    between S and J_top, with ``top`` the mask of J_top minus S.  Each K
+    among them gives one signed generalized Verma multiplicity
+    F(K) = (-1)^{|K minus S|} m_K(w); the value at J is the sum of F(K)
+    over the K inside J.  F is listed in ``_cube`` order over ``top``, and
+    one ``_subset_sums`` gives the value at every J at once.  ``memo`` is
+    passed on to ``_parabolic_verma_mult``, so callers that pass one dict
+    build each K's rows and per-component sums once, and it keeps one
+    ``_cube`` per J_top minus S.  One dict serves one (r, k)."""
     s_mask = _mask(S.members)
-    top = max(extras)
     cube = memo.get(("cube", top))
     if cube is None:
         cube = memo["cube", top] = _cube(0, top)
@@ -423,9 +402,10 @@ def enumerate_constituents(
     """All constituent labels (w, J) with nonzero multiplicity, w running
     over tuples of minimal representatives whose shifted zero weight is
     dominant for the inner roots plus S, with total length at most
-    max_len; sorted by (length, one-line lex, J).  Each multiset of
-    components is folded once, and its values serve every w that orders
-    it (see ``_formula_values``).
+    max_len; sorted by (length, one-line lex, J).  The orderings of one
+    multiset of components share their values and their labels' masks,
+    so the first in label order is folded, and its value list, kept in a
+    per-call dict keyed by the sorted components, serves the rest.
 
     >>> from .cosets import BlockSet
     >>> empty = BlockSet(2, 2)
@@ -433,13 +413,22 @@ def enumerate_constituents(
     >>> [(lab.w, sorted(lab.J.members), m) for lab, m in out if not lab.J.members]
     [(((1, 2, 3, 4),), [], 1), (((1, 3, 2, 4),), [], 1), (((3, 4, 1, 2),), [], 1)]
     """
+    memo: dict = {}
+    by_multiset: dict[MultiWeyl, list[int]] = {}
     block_sets: dict[int, BlockSet] = {}
-    return [
-        (ConstituentLabel(w, _block_set(S, extra, block_sets), S), m)
-        for w, extras, values in _formula_values(S, d_L, max_len)
-        for extra, m in zip(extras, values)
-        if m != 0
-    ]
+    out = []
+    for w, top, extras in _label_groups(S, d_L, max_len):
+        key = tuple(sorted(w))
+        values = by_multiset.get(key)
+        if values is None:
+            folded = _fold(w, S, top, memo)
+            values = by_multiset[key] = [_read_fold(folded, extra) for extra in extras]
+        out.extend(
+            (ConstituentLabel(w, _block_set(S, extra, block_sets), S), m)
+            for extra, m in zip(extras, values)
+            if m != 0
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -598,8 +587,10 @@ def analytic_tits_euler_check(
     that fold (see ``steinberg_multiplicity``), and the oracle runs one
     subset-sum transform of its signed generalized Verma multiplicities
     over the K between S and J_top (``_oracle_values``); the two are
-    then compared label by label.  The symmetry itself is checked by the
-    test suite, on both routes and every ordering.  The formula and the
+    then compared label by label.  Each walked w is its own sorted
+    multiset, so no value is kept from one w to the next.  The symmetry
+    itself is checked by the test suite, on both routes and every
+    ordering.  The formula and the
     oracle each keep their own dict for the whole call: the formula's
     holds one ``_component_table`` per component, the oracle's its per-K
     rows, per-(K, component) alternating sums and one ``_cube`` per
@@ -609,10 +600,13 @@ def analytic_tits_euler_check(
     >>> analytic_tits_euler_check(BlockSet(2, 2), 1)
     True
     """
+    off_s = ~_mask(S.members)
+    formula_memo: dict = {}
     oracle_memo: dict = {}
-    for w, extras, values in _formula_values(S, d_L, max_len, multisets=True):
-        oracle = _oracle_values(w, S, extras, oracle_memo)
-        for extra, m in zip(extras, values):
-            if m != oracle[extra]:
+    for w, top, extras in _label_groups(S, d_L, max_len, multisets=True):
+        folded = _fold(w, S, top, formula_memo)
+        oracle = _oracle_values(w, S, top & off_s, oracle_memo)
+        for extra in extras:
+            if _read_fold(folded, extra) != oracle[extra]:
                 return False
     return True

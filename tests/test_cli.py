@@ -217,6 +217,30 @@ def test_degree_below_one_exit_2(capsys, d_l):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["mult", "--r", "2", "--k", "2", "--dL", "2", "--K", "-", "--w", "[1,2,3,4];;[2,1,3,4]"],
+        ["steinberg-mult", "--r", "2", "--k", "2", "--dL", "2", "--S", "-", "--J", "-",
+         "--w", "[1,2,3,4];"],
+    ],
+    ids=["mult-inner", "steinberg-trailing"],
+)
+def test_empty_w_component_exit_2(capsys, argv):
+    # An empty part between or after the ';' is not dropped: dropping it
+    # would read a two-component w as one and broadcast it.
+    code, doc = run(capsys, *argv)
+    assert code == 2 and doc == {"error": f"empty component in {argv[-1]!r}"}
+
+
+def test_one_w_component_is_broadcast(capsys):
+    # m = 2 for the one component, so the broadcast pair gives 2 * 2.
+    for w_text in ("[3,4,1,2]", "[3,4,1,2];[3,4,1,2]"):
+        code, doc = run(capsys, "mult", "--r", "1", "--k", "4", "--dL", "2", "--K", "-",
+                        "--w", w_text)
+        assert code == 0 and doc == {"K": "-", "m": 4}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["jacquet", "--r", "0", "--k", "2"],
         ["jacquet", "--r", "-1", "--k", "2"],
         ["jacquet", "--r", "2", "--k", "0"],
@@ -402,7 +426,7 @@ def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
 def test_kl_cache_cap_exit_3(capsys, monkeypatch):
     monkeypatch.setenv("PARASTEIN_KL_CACHE_CAP", "10")
     kl_cache_clear()
-    code, doc = run(capsys, "kl", "--n", "5", "--x", "e", "--w", "[5,4,3,2,1]")
+    code, doc = run(capsys, "kl", "--n", "5", "--x", "e", "--w", "[4,5,2,3,1]")
     assert code == 3 and list(doc) == ["error"]
 
 
@@ -410,7 +434,7 @@ def test_kl_cache_cap_exit_3(capsys, monkeypatch):
 def test_kl_cache_cap_not_a_count_exit_2(capsys, monkeypatch, cap):
     monkeypatch.setenv("PARASTEIN_KL_CACHE_CAP", cap)
     kl_cache_clear()
-    code, doc = run(capsys, "kl", "--n", "5", "--x", "e", "--w", "[5,4,3,2,1]")
+    code, doc = run(capsys, "kl", "--n", "5", "--x", "e", "--w", "[4,5,2,3,1]")
     assert code == 2 and list(doc) == ["error"]
     assert "PARASTEIN_KL_CACHE_CAP" in doc["error"] and repr(cap) in doc["error"]
 
@@ -429,7 +453,7 @@ def test_kl_cache_cap_counts_are_read(capsys, monkeypatch, cap, expected):
     # Zero is a count: every memo miss exceeds it.  Empty means no cap.
     monkeypatch.setenv("PARASTEIN_KL_CACHE_CAP", cap)
     kl_cache_clear()
-    code, _ = run(capsys, "kl", "--n", "5", "--x", "e", "--w", "[5,4,3,2,1]")
+    code, _ = run(capsys, "kl", "--n", "5", "--x", "e", "--w", "[4,5,2,3,1]")
     assert code == expected
 
 

@@ -179,25 +179,31 @@ def test_parabolic_verma_full_parabolic_is_simple_indicator():
     assert sum(map(abs, values.values())) == 1
 
 
-W0_5 = (5, 4, 3, 2, 1)
+# The cap tests fill the memo with P_{e,45231} = 1 + 2q, 136 entries from
+# cold.  Not P_{e,w0}: keyed by the longest element of x's double coset
+# under w's descents, as the KL recursion may be, P_{e,w0} is the key
+# (w0, w0) and needs no entry.  45231 is singular, and under such keys
+# P_{e,45231} still fills 15 entries, more than the cap of 10 below; the
+# kl_mu pair (e, 34152) needs an entry beyond the cap under either key.
+W_5 = (4, 5, 2, 3, 1)
 
 
 def test_kl_cache_cap_bounds_the_memo(monkeypatch):
     monkeypatch.setenv("PARASTEIN_KL_CACHE_CAP", "10")
     kl_cache_clear()
     with pytest.raises(BoundExceededError, match="cap of 10"):
-        kl_poly(identity(5), W0_5)
+        kl_poly(identity(5), W_5)
     # The memo fills up to the cap and no further.
     assert kl_cache_size() == 10
     with pytest.raises(BoundExceededError):
-        kl_mu(identity(5), (4, 5, 3, 2, 1))
+        kl_mu(identity(5), (3, 4, 1, 5, 2))
     assert kl_cache_size() == 10
 
 
 def test_kl_cache_unset_cap_means_no_cap(monkeypatch):
     monkeypatch.delenv("PARASTEIN_KL_CACHE_CAP", raising=False)
     kl_cache_clear()
-    assert kl_poly(identity(5), W0_5) == (1,)
+    assert kl_poly(identity(5), W_5) == (1, 2)
     assert kl_cache_size() > 10
 
 
@@ -209,12 +215,12 @@ def test_kl_cache_cap_read_at_each_insertion(monkeypatch):
     real_cap = kl_mult._cache_cap
     monkeypatch.setattr(kl_mult, "_cache_cap", lambda: reads.append(1) or real_cap())
     kl_cache_clear()
-    assert kl_poly(identity(5), W0_5) == (1,)
+    assert kl_poly(identity(5), W_5) == (1, 2)
     assert len(reads) == kl_cache_size() > 1
     # Memo hits read nothing.
     reads.clear()
-    kl_poly(identity(5), W0_5)
-    kl_mu(identity(5), (1, 2, 3, 5, 4))
+    kl_poly(identity(5), W_5)
+    kl_mu(identity(5), (1, 2, 4, 3, 5))
     assert reads == []
     # A trivial miss reads nothing: (2,1,3,4,5) is not below (1,3,2,4,5).
     size = kl_cache_size()

@@ -74,7 +74,13 @@ def table_sizes():
 IMPORT_SIZES = table_sizes()
 
 W0_5 = (5, 4, 3, 2, 1)
-W0_6 = (6, 5, 4, 3, 2, 1)
+# Singular pairs that fill the memo from cold: P_{e,45231} = 1 + 2q takes
+# 136 entries, 12 of them down-sets, and P_{e,456123} = 1 + 4q + 4q^2 + q^3
+# takes 178.  Not P_{e,w0}: keyed by the longest element of x's double
+# coset under w's descents, as the KL recursion may be, it needs no entry,
+# while these two still take 15 and 46.
+W_5 = (4, 5, 2, 3, 1)
+W_6 = (4, 5, 6, 1, 2, 3)
 
 
 def is_downset_key(key):
@@ -90,7 +96,7 @@ def test_cold_kl_call_grows_only_the_kl_memo(monkeypatch):
     monkeypatch.delenv("PARASTEIN_KL_CACHE_CAP", raising=False)
     kl_cache_clear()
     before = table_sizes()
-    assert kl_poly(identity(6), W0_6) == (1,)
+    assert kl_poly(identity(6), W_6) == (1, 4, 4, 1)
     after = table_sizes()
     grown = {key for key in after if after[key] != before.get(key)}
     assert grown == {"parastein.kl_mult._kl_cache"}
@@ -99,7 +105,7 @@ def test_cold_kl_call_grows_only_the_kl_memo(monkeypatch):
 
 def test_kl_cache_clear_restores_import_time_sizes(monkeypatch):
     monkeypatch.delenv("PARASTEIN_KL_CACHE_CAP", raising=False)
-    kl_poly(identity(5), W0_5)
+    kl_poly(identity(5), W_5)
     assert kl_cache_size() > 0
     kl_cache_clear()
     assert table_sizes() == IMPORT_SIZES
@@ -125,7 +131,7 @@ def test_kl_cache_cap_counts_downsets(monkeypatch):
     # few entries later holds the same entries in the same order.
     monkeypatch.delenv("PARASTEIN_KL_CACHE_CAP", raising=False)
     kl_cache_clear()
-    kl_poly(identity(5), W0_5)
+    kl_poly(identity(5), W_5)
     keys = list(kl_mult._kl_cache)
     first = next(i for i, key in enumerate(keys) if is_downset_key(key))
     assert first > 0
@@ -133,7 +139,7 @@ def test_kl_cache_cap_counts_downsets(monkeypatch):
         monkeypatch.setenv("PARASTEIN_KL_CACHE_CAP", str(cap))
         kl_cache_clear()
         with pytest.raises(BoundExceededError, match=f"cap of {cap} entries"):
-            kl_poly(identity(5), W0_5)
+            kl_poly(identity(5), W_5)
         assert kl_cache_size() == cap
         assert list(kl_mult._kl_cache) == keys[:cap]
     kl_cache_clear()
@@ -170,7 +176,7 @@ def test_zero_cap_still_answers_trivial_pairs(monkeypatch):
     assert kl_poly((2, 1, 3, 4, 5), (1, 3, 2, 4, 5)) == ()
     assert kl_poly(W0_5, W0_5) == (1,)
     with pytest.raises(BoundExceededError, match="cap of 0 entries"):
-        kl_poly(identity(5), W0_5)
+        kl_poly(identity(5), W_5)
     assert kl_cache_size() == 0
 
 
@@ -179,5 +185,5 @@ def test_malformed_cap_fails_before_any_insert(monkeypatch):
     kl_cache_clear()
     assert kl_poly((2, 1, 3, 4, 5), (1, 3, 2, 4, 5)) == ()
     with pytest.raises(ValueError, match="PARASTEIN_KL_CACHE_CAP"):
-        kl_poly(identity(5), W0_5)
+        kl_poly(identity(5), W_5)
     assert kl_cache_size() == 0

@@ -321,14 +321,15 @@ def test_oracle_builds_one_cube_per_J_top(monkeypatch):
                 steinberg_mult, "_cube", lambda base, free: cubes.append(free) or cube(base, free)
             )
             for w, _, extras in groups:
-                _oracle_values(w, S, extras, memo)
+                _oracle_values(w, S, max(extras), memo)
         assert sorted(cubes) == sorted({max(extras) for _, _, extras in groups})
 
 
 @pytest.mark.parametrize("r, k, d_L", [(1, 4, 2), (2, 3, 1), (3, 2, 2)])
 def test_generated_labels_pass_the_preconditions(r, k, d_L):
-    # _formula_values does not check its labels; every label that
-    # _label_groups yields must pass the single-label checks.
+    # enumerate_constituents and analytic_tits_euler_check do not check
+    # their labels; every label that _label_groups yields must pass the
+    # single-label checks.
     for S in all_blocksets(r, k):
         for w, _, extras in _label_groups(S, d_L, None):
             for extra in extras:
@@ -433,7 +434,7 @@ def test_shared_oracle_memo_matches_fresh_oracle():
         for S in all_blocksets(r, k):
             memo = {}
             for w, _, extras in _label_groups(S, d_L, None):
-                values = _oracle_values(w, S, extras, memo)
+                values = _oracle_values(w, S, max(extras), memo)
                 for extra in extras:
                     assert values[extra] == steinberg_multiplicity_oracle(w, label_J(S, extra), S)
 
@@ -460,7 +461,7 @@ def test_oracle_transform_matches_inclusion_exclusion(r, k, d_L):
     for S in all_blocksets(r, k):
         memo, brute_memo = {}, {}
         for w, _, extras in _label_groups(S, d_L, None):
-            values = _oracle_values(w, S, extras, memo)
+            values = _oracle_values(w, S, max(extras), memo)
             assert len(values) == len(extras)
             for extra in extras:
                 assert values[extra] == inclusion_exclusion(w, label_J(S, extra), S, brute_memo)
@@ -507,6 +508,24 @@ def test_analytic_euler_check_fails_on_one_perturbed_value(monkeypatch, name):
             with monkeypatch.context() as m:
                 perturb_one_call(m, name, target)
                 assert not analytic_tits_euler_check(S, 2)
+
+
+def test_analytic_euler_check_compares_every_label(monkeypatch):
+    # The oracle off by one only at J_top minus S, and only where that is
+    # not the empty mask, the first label of each w: a check that reads
+    # fewer labels than every label of w can pass this.
+    oracle = steinberg_mult._oracle_values
+
+    def perturbed(w, S, top, memo):
+        values = oracle(w, S, top, memo)
+        if top:
+            values[top] += 1
+        return values
+
+    monkeypatch.setattr(steinberg_mult, "_oracle_values", perturbed)
+    for S in all_blocksets(1, 4):
+        # With every block in S, no w has a nonempty J_top minus S.
+        assert analytic_tits_euler_check(S, 2) == (len(S.members) == 3)
 
 
 def test_multi_component_factorization():

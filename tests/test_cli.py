@@ -1,3 +1,5 @@
+import ast
+import gc
 import json
 import os
 import shlex
@@ -421,6 +423,86 @@ def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
     code = main()
     assert code == 0 and json.loads(capsys.readouterr().out)["count"] == 2
     assert seen == [["jh", "--r", "2", "--k", "2"]]
+
+
+def _process(*argv):
+    """``python -m parastein.cli_io argv`` in its own interpreter: the
+    ``__main__`` block, ``run()`` and the interpreter's exit."""
+    src = os.path.dirname(os.path.dirname(cli_io.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "parastein.cli_io", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["weyl", "--n", "4", "--w", "[3,4,1,2]"], 0),
+        (["no-such-verb"], 2),
+        (["weyl", "--n", "0", "--w", "e"], 2),
+        (["jh", "--r", "1", "--k", "40"], 3),
+    ],
+    ids=["weyl", "unknown-verb", "rank-0", "enumeration-bound"],
+)
+def test_process_exit_code_and_stdout(capsys, argv, code):
+    # The process prints what main prints in process, byte for byte, and
+    # exits with main's code.
+    proc = _process(*argv)
+    assert (proc.returncode, proc.stderr) == (code, "")
+    assert main(argv) == code
+    assert proc.stdout == capsys.readouterr().out
+    assert proc.stdout.count("\n") == 1
+    doc = json.loads(proc.stdout)
+    assert ("error" in doc) == (code != 0)
+
+
+def test_process_help_exit_0():
+    proc = _process("--help")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: parastein")
+
+
+def test_in_process_main_does_not_freeze_the_collector(capsys):
+    # Only the process entry point freezes: main also runs inside the
+    # benchmark worker and library callers, which must keep collecting.
+    before = gc.get_freeze_count()
+    assert main(["weyl", "--n", "4", "--w", "[3,4,1,2]"]) == 0
+    assert main(["weyl", "--n", "0", "--w", "e"]) == 2
+    capsys.readouterr()
+    frozen = gc.get_freeze_count()
+    if frozen != before:
+        gc.unfreeze()
+    assert frozen == before
+
+
+def test_run_freezes_then_exits_with_mains_code(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["parastein", "jh", "--r", "1", "--k", "40"])
+    before = gc.get_freeze_count()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            cli_io.run()
+        frozen = gc.get_freeze_count()
+    finally:
+        gc.unfreeze()
+    assert exc.value.code == 3 and frozen > before
+    assert "enumeration bound" in json.loads(capsys.readouterr().out)["error"]
+
+
+def test_console_script_is_the_main_block_entry():
+    # The installed script and ``python -m`` must end the same way.
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).parents[1]
+    scripts = tomllib.loads((root / "pyproject.toml").read_text())["project"]["scripts"]
+    module, func = scripts["parastein"].split(":")
+    assert module == cli_io.__name__
+    tree = ast.parse(Path(cli_io.__file__).read_text())
+    block = next(
+        node for node in tree.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    )
+    assert [ast.unparse(stmt) for stmt in block.body] == [f"{func}()"]
 
 
 def test_kl_cache_cap_exit_3(capsys, monkeypatch):

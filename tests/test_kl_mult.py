@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -113,6 +114,83 @@ def test_mu_symmetry_small():
     for z in group:
         for v in group:
             assert kl_mu(z, v) == kl_mu(inverse(z), inverse(v))
+
+
+def w_graph_relations_hold(n, mu, seed=0):
+    """Whether the W-graph of S_n built from ``mu`` gives a Hecke algebra
+    representation (Kazhdan-Lusztig 1979, §1 and (2.3)).  Vertices are the
+    y of S_n with their left descent sets L(y), and the edge weight is
+    mu~(y, z) = mu(y, z) for y < z and mu(z, y) for z < y.  Then
+    T_s e_y = -e_y if s is in L(y), and otherwise
+    T_s e_y = q e_y + q^{1/2} * sum of mu~(y, z) e_z over z with s in L(z).
+    The check is exact, at q = 4 and q^{1/2} = 2, on three seeded integer
+    vectors: (T_s + 1)(T_s - q) = 0 for each s, and the braid relations.
+    It reads mu only, never the recursion's descent steps."""
+    group = enumerate_group(n)
+    lengths = [length(w) for w in group]
+    desc = [left_descents(w) for w in group]
+    edges = [[] for _ in group]
+    for i, y in enumerate(group):
+        for j, z in enumerate(group):
+            if (lengths[j] - lengths[i]) % 2 and lengths[i] < lengths[j]:
+                m = mu(y, z)
+                if m:
+                    edges[i].append((j, m))
+                    edges[j].append((i, m))
+
+    def T(s, v):
+        out = [0] * len(v)
+        for y, c in enumerate(v):
+            if not c:
+                continue
+            if s in desc[y]:
+                out[y] -= c
+                continue
+            out[y] += 4 * c
+            for z, m in edges[y]:
+                if s in desc[z]:
+                    out[z] += 2 * m * c
+        return out
+
+    rng = random.Random(seed)
+    for _ in range(3):
+        v = [rng.randint(-9, 9) for _ in group]
+        for s in range(1, n):
+            u = [a - 4 * b for a, b in zip(T(s, v), v)]
+            if any(a + b for a, b in zip(T(s, u), u)):
+                return False
+            for t in range(s + 1, n):
+                if t == s + 1:
+                    braid = T(s, T(t, T(s, v))) == T(t, T(s, T(t, v)))
+                else:
+                    braid = T(s, T(t, v)) == T(t, T(s, v))
+                if not braid:
+                    return False
+    return True
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_w_graph_gives_a_hecke_representation(n):
+    assert w_graph_relations_hold(n, kl_mu)
+
+
+def test_w_graph_check_fails_on_one_raised_mu():
+    # Raise one mu(x, y) by 1, for x < y with an odd length gap of at
+    # least 3 (not a cover, whose mu is 1) and L(x) != L(y).  An edge
+    # between equal descent sets enters no T_s, so those are not tried.
+    group = enumerate_group(5)
+    candidates = [
+        (x, y)
+        for x in group
+        for y in group
+        if (length(y) - length(x)) % 2
+        and length(y) - length(x) >= 3
+        and left_descents(x) != left_descents(y)
+        and bruhat_leq(x, y)
+    ]
+    for x, y in random.Random(0).sample(candidates, 3):
+        raised = lambda a, b, x=x, y=y: kl_mu(a, b) + ((a, b) == (x, y))
+        assert not w_graph_relations_hold(5, raised), (x, y)
 
 
 def test_verma_mult():

@@ -10,7 +10,9 @@ each failure with {"error": ...} on stdout:
 
 - 0 success;
 - 2 bad input: a usage error or a failed precondition, such as a rank
-  below 1;
+  below 1, or an option that the mode would ignore (``--S``, ``--dL`` or
+  ``--max-len`` on a smooth ``tits-check``, ``--max-len`` with
+  ``steinberg-mult --w``) given a value other than its default;
 - 3 a resource bound was exceeded, such as the enumeration bound, the
   KL memo cap, the label bound, or a constituent listing above rank 6
   without --max-len;
@@ -145,6 +147,8 @@ def steinberg_cmd(
 ) -> None:
     S = parse_blockset(s_text, r, k)
     if w_text is not None:
+        if max_len is not None:
+            raise ValueError("--max-len applies only to a listing, not with --w")
         J = parse_blockset(j_text, r, k)
         w = _parse_multiweyl(w_text, r * k, d_l)
         m = steinberg_mult.steinberg_multiplicity(w, J, S)
@@ -208,6 +212,12 @@ def tits_cmd(r: int, k: int, analytic: bool, s_text: str, d_l: int, max_len: int
         ok = steinberg_mult.analytic_tits_euler_check(S, d_l, max_len)
         _emit({"mode": "analytic", "S": format_blockset(S), "ok": ok})
         return
+    # The smooth check reads none of the analytic options: a value other
+    # than the default would be silently ignored.
+    ignored = (("--S", s_text, "-"), ("--dL", d_l, 1), ("--max-len", max_len, None))
+    for option, value, default in ignored:
+        if value != default:
+            raise ValueError(f"{option} applies only with --analytic")
     checked = 0
     ok = True
     for I in segments.jh_factors(r, k):

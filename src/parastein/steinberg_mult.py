@@ -19,12 +19,18 @@ but folds each multiset once and hands its values to every ordering.
 The formula OR-folds the components' tables, keyed by outer support
 minus S, and reads each label with one lookup.  It builds one table per
 component per call, over the largest J_top among the w that hold that
-component, which answers every smaller J_top; each fold cuts the tables
-down to its own J_top.  The oracle sums its signed generalized Verma
-multiplicities over every K between S and J_top by one subset-sum
-transform.  Each route keeps its own per-call dict, so a value is
-computed once per call but never passed from one route to the other, and
-the check stays independent.  The smooth Euler check is the same
+component, which answers every smaller J_top, and cuts it down to each
+J_top once per call, so a fold reads its components' cut lists.  The
+oracle's generalized Verma multiplicity at K is the product over the
+components c of their alternating sums a_K(c), so it builds once per
+call, for each J_top and component, the vector of a_K(c) over the K
+between S and J_top, kept beside that cube's sign vector.  A w's oracle
+values are then one entrywise product of the signs and its components'
+vectors, summed over every K below each J by one subset-sum transform.
+Each route keeps its own per-call dict, the formula's tables and cuts
+apart from the oracle's vectors and sums, so a value is computed once
+per call but never passed from one route to the other, and the check
+stays independent.  The smooth Euler check is the same
 transform on a signed indicator, and ``check_complex_squares_zero``
 keeps its signs as int bitsets.  All three list masks in cube order
 (``_cube``), where flipping a block flips one bit of the list index, so
@@ -36,6 +42,7 @@ uses it.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter, mul
 
 from .cosets import BlockSet, _mask, _members, _parabolic_roots
 from .kl_mult import _check_ranks, _parabolic_verma_mult, kl_poly, poly_eval_one
@@ -182,10 +189,12 @@ def _component_table(comp: Perm, S: BlockSet, top: int, memo: dict) -> dict:
     """{outer mask minus S: sum of (-1)^{l(u)} P_{u,comp}(1)} over u in
     the parabolic on the inner roots plus the blocks of the mask ``top``.
     ``memo`` keeps the rows (u, outer mask minus S, l(u)) of each
-    parabolic and one table per component, so callers that pass one dict
-    share them across labels.  A u other than ``comp`` and at least as
-    long is not below it, so its P_{u,comp} = 0 is skipped without a KL
-    lookup.  The keys hold neither S nor its shape: one dict serves one S.
+    parabolic, under its mask, and one table per component, under the
+    component, so callers that pass one dict share them across labels;
+    ``_fold`` keeps its cuts of the tables in the same dict.  A u other
+    than ``comp`` and at least as long is not below it, so its
+    P_{u,comp} = 0 is skipped without a KL lookup.  The keys hold neither
+    S nor its shape: one dict serves one S.
 
     A table is built over the ``top`` of the first fold that asks for it;
     later folds read only masks inside their own tops, which are no
@@ -220,22 +229,27 @@ def _fold(w: MultiWeyl, S: BlockSet, top: int, memo: dict) -> dict:
     each over the mask ``top`` or a larger one, at the masks inside
     ``top``.  An OR only adds bits, so an entry with a bit outside
     ``top`` reaches no mask inside it: each table is cut down to ``top``
-    before it is folded, and the fold starts from the first cut table
-    (from {0: 1}, the empty product, when w has no component)."""
-    outside = ~top
-    tables = (
-        {
-            outer: v
-            for outer, v in _component_table(comp, S, top, memo).items()
-            if not outer & outside
-        }
-        for comp in w
-    )
-    folded = next(tables, {0: 1})
-    for table in tables:
+    before it is folded.  The cut, a list of (mask, value) pairs, is made
+    once per (``top``, component) and kept in ``memo`` under that pair,
+    beside the tables, so the w that share a J_top and a component share
+    it.  The fold starts from the first cut (from {0: 1}, the empty
+    product, when w has no component)."""
+    cuts = []
+    for comp in w:
+        cut = memo.get((top, comp))
+        if cut is None:
+            outside = ~top
+            cut = memo[top, comp] = [
+                (outer, v)
+                for outer, v in _component_table(comp, S, top, memo).items()
+                if not outer & outside
+            ]
+        cuts.append(cut)
+    folded = dict(cuts[0]) if cuts else {0: 1}
+    for cut in cuts[1:]:
         step: dict = {}
         for outer_a, va in folded.items():
-            for outer_b, vb in table.items():
+            for outer_b, vb in cut:
                 key = outer_a | outer_b
                 step[key] = step.get(key, 0) + va * vb
         folded = step
@@ -273,18 +287,31 @@ def _oracle_values(w: MultiWeyl, S: BlockSet, top: int, memo: dict) -> dict:
     among them gives one signed generalized Verma multiplicity
     F(K) = (-1)^{|K minus S|} m_K(w); the value at J is the sum of F(K)
     over the K inside J.  F is listed in ``_cube`` order over ``top``, and
-    one ``_subset_sums`` gives the value at every J at once.  ``memo`` is
-    passed on to ``_parabolic_verma_mult``, so callers that pass one dict
-    build each K's rows and per-component sums once, and it keeps one
-    ``_cube`` per J_top minus S.  One dict serves one (r, k)."""
-    s_mask = _mask(S.members)
-    cube = memo.get(("cube", top))
-    if cube is None:
-        cube = memo["cube", top] = _cube(0, top)
-    values = []
-    for extra in cube:
-        m = _parabolic_verma_mult(S.r, S.k, s_mask | extra, w, memo)
-        values.append(-m if extra.bit_count() % 2 else m)
+    one ``_subset_sums`` gives the value at every J at once.
+
+    m_K(w) is the product over the components c of w of the alternating
+    sums a_K(c) = ``_parabolic_verma_mult`` on (c,), the factorization
+    that ``_parabolic_verma_mult`` itself uses.  So F is the entrywise
+    product of the sign vector (-1)^{|K minus S|} and, per component, the
+    vector of its a_K(c) over the cube.  ``memo`` keeps under
+    ("cube", top) that cube, its sign vector, S's mask and a dict
+    {component: vector}, each built once per call; it is also passed on
+    to ``_parabolic_verma_mult``, whose keys (a mask, or a mask and a
+    component) are never a ("cube", top) pair.  One dict serves one S."""
+    entry = memo.get(("cube", top))
+    if entry is None:
+        cube = _cube(0, top)
+        signs = tuple(-1 if extra.bit_count() % 2 else 1 for extra in cube)
+        entry = memo["cube", top] = (cube, signs, _mask(S.members), {})
+    cube, values, s_mask, vectors = entry
+    for comp in w:
+        vector = vectors.get(comp)
+        if vector is None:
+            single = (comp,)
+            vector = vectors[comp] = [
+                _parabolic_verma_mult(S.r, S.k, s_mask | extra, single, memo) for extra in cube
+            ]
+        values = list(map(mul, values, vector))
     return dict(zip(cube, _subset_sums(values)))
 
 
@@ -294,9 +321,19 @@ class ConstituentLabel(_Frozen):
     __slots__ = ("w", "J", "S")
 
     def __init__(self, w: MultiWeyl, J: BlockSet, S: BlockSet) -> None:
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "J", J)
-        object.__setattr__(self, "S", S)
+        _set_w(self, w)
+        _set_J(self, J)
+        _set_S(self, S)
+
+
+# The slot descriptors' setters, which skip ``_Frozen.__setattr__``: a
+# listing builds one label per nonzero (w, J), and this takes about two
+# thirds of the time of three ``object.__setattr__`` calls.
+_set_w, _set_J, _set_S = (
+    ConstituentLabel.w.__set__,
+    ConstituentLabel.J.__set__,
+    ConstituentLabel.S.__set__,
+)
 
 
 def _label_groups(
@@ -357,7 +394,8 @@ def _label_groups(
     # lengths are nonnegative, so a prefix over max_len has no admissible
     # extension.  Each chain keeps the index in reps from which its next
     # component is taken: 0, or with ``multisets`` that of its last one.
-    # reps is in one-line lex order, so those w are the sorted ones.
+    # reps is in one-line lex order, so those w are the sorted ones, and
+    # each step keeps the chains in one-line lex order of their w.
     chains = [((), 0, 0, 0)]
     for _ in range(d_L):
         chains = [
@@ -366,8 +404,18 @@ def _label_groups(
             for i, (c, l_c, b_c) in enumerate(reps[first:], first)
             if l_chain + l_c <= max_len
         ]
-    combos = [(_unchain(chain, d_L), l_combo, b_combo) for chain, l_combo, b_combo, _ in chains]
-    combos.sort(key=lambda c: (c[1], c[0]))
+    # Unchain every w at once: each pass splits off the last component of
+    # every chain, so it costs one pass per embedding whatever d_L is.
+    # Without the chain list, each pass frees the links it has split.
+    links, lengths, blocks, _ = zip(*chains)
+    del chains
+    columns = []
+    for _ in range(d_L):
+        links, last = zip(*links)
+        columns.append(last)
+    # The chains are in lex order, so a stable sort by length alone puts
+    # the w in label order.
+    combos = sorted(zip(zip(*reversed(columns)), lengths, blocks), key=itemgetter(1))
     # Per distinct set of ascent blocks: J_top's mask and the labels'
     # masks of J minus S, sorted by the members of J.
     by_blocks: dict[int, tuple[int, list[int]]] = {}
@@ -377,14 +425,6 @@ def _label_groups(
             extras.sort(key=lambda e: sorted(_members(s_mask | e)))
             by_blocks[blocks] = (s_mask | blocks, extras)
     return [(combo, *by_blocks[blocks]) for combo, _, blocks in combos]
-
-
-def _unchain(chain: tuple, d_L: int) -> MultiWeyl:
-    """The w of a chain (shorter prefix, last component) of length d_L."""
-    w = [None] * d_L
-    for i in range(d_L - 1, -1, -1):
-        chain, w[i] = chain
-    return tuple(w)
 
 
 def _block_set(S: BlockSet, extra: int, block_sets: dict) -> BlockSet:
@@ -404,8 +444,9 @@ def enumerate_constituents(
     dominant for the inner roots plus S, with total length at most
     max_len; sorted by (length, one-line lex, J).  The orderings of one
     multiset of components share their values and their labels' masks,
-    so the first in label order is folded, and its value list, kept in a
-    per-call dict keyed by the sorted components, serves the rest.
+    so the first in label order is folded, and its nonzero labels' (J, m)
+    pairs, kept in a per-call dict keyed by the sorted components, serve
+    the rest: each ordering then builds only its labels.
 
     >>> from .cosets import BlockSet
     >>> empty = BlockSet(2, 2)
@@ -414,20 +455,20 @@ def enumerate_constituents(
     [(((1, 2, 3, 4),), [], 1), (((1, 3, 2, 4),), [], 1), (((3, 4, 1, 2),), [], 1)]
     """
     memo: dict = {}
-    by_multiset: dict[MultiWeyl, list[int]] = {}
+    by_multiset: dict[MultiWeyl, list[tuple[BlockSet, int]]] = {}
     block_sets: dict[int, BlockSet] = {}
     out = []
     for w, top, extras in _label_groups(S, d_L, max_len):
         key = tuple(sorted(w))
-        values = by_multiset.get(key)
-        if values is None:
+        nonzero = by_multiset.get(key)
+        if nonzero is None:
             folded = _fold(w, S, top, memo)
-            values = by_multiset[key] = [_read_fold(folded, extra) for extra in extras]
-        out.extend(
-            (ConstituentLabel(w, _block_set(S, extra, block_sets), S), m)
-            for extra, m in zip(extras, values)
-            if m != 0
-        )
+            nonzero = by_multiset[key] = [
+                (_block_set(S, extra, block_sets), m)
+                for extra in extras
+                if (m := _read_fold(folded, extra)) != 0
+            ]
+        out += [(ConstituentLabel(w, J, S), m) for J, m in nonzero]
     return out
 
 
@@ -586,16 +627,19 @@ def analytic_tits_euler_check(
     OR-folds its component tables over J_top and reads every label off
     that fold (see ``steinberg_multiplicity``), and the oracle runs one
     subset-sum transform of its signed generalized Verma multiplicities
-    over the K between S and J_top (``_oracle_values``); the two are
-    then compared label by label.  Each walked w is its own sorted
+    over the K between S and J_top, the entrywise product of its
+    components' vectors (``_oracle_values``); the two are then compared
+    label by label.  Each walked w is its own sorted
     multiset, so no value is kept from one w to the next.  The symmetry
     itself is checked by the test suite, on both routes and every
     ordering.  The formula and the
     oracle each keep their own dict for the whole call: the formula's
-    holds one ``_component_table`` per component, the oracle's its per-K
-    rows, per-(K, component) alternating sums and one ``_cube`` per
-    J_top.  No entry passes from one route to the other, so each label's
-    two integers are still computed independently.
+    holds one ``_component_table`` per component and one cut of it per
+    (J_top, component), the oracle's its per-K rows, per-(K, component)
+    alternating sums and, per J_top, one ``_cube``, its sign vector and
+    one vector per component.  No entry passes from one route to the
+    other, so each label's two integers are still computed
+    independently.
 
     >>> analytic_tits_euler_check(BlockSet(2, 2), 1)
     True

@@ -31,8 +31,9 @@ class _Frozen:
     ``AttributeError`` on assignment, and copying and pickling by
     calling the class with the fields in that order.  A subclass's
     ``__init__`` takes its fields in ``__slots__`` order; records built
-    in hot loops set each field with ``object.__setattr__`` instead of
-    going through the base ``__init__``."""
+    in hot loops set each field with ``object.__setattr__``, or with the
+    field's slot descriptor (``ConstituentLabel``), instead of going
+    through the base ``__init__``."""
 
     __slots__ = ()
 

@@ -413,6 +413,31 @@ def test_option_of_another_verb_exit_2(capsys):
     assert code == 2 and doc == {"error": "unrecognized arguments: --n 4"}
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["tits-check", "--r", "1", "--k", "4", "--S", "1"], "--S"),
+        (["tits-check", "--r", "1", "--k", "4", "--dL", "5"], "--dL"),
+        (["tits-check", "--r", "1", "--k", "4", "--max-len", "0"], "--max-len"),
+        (["tits-check", "--r", "1", "--k", "4", "--analytic", "--smooth", "--S", "1"], "--S"),
+        (["steinberg-mult", "--r", "2", "--k", "2", "--w", "e", "--max-len", "0"], "--max-len"),
+    ],
+)
+def test_option_the_mode_ignores_exit_2(capsys, argv, option):
+    # The smooth tits-check reads none of --S, --dL and --max-len, and a
+    # single-label steinberg-mult does not read --max-len: a value other
+    # than the default is rejected, not silently dropped.
+    code, doc = run(capsys, *argv)
+    assert code == 2 and list(doc) == ["error"] and doc["error"].startswith(option + " ")
+
+
+def test_ignored_options_at_their_defaults_pass(capsys):
+    code, doc = run(capsys, "tits-check", "--r", "1", "--k", "4", "--S", "-", "--dL", "1")
+    assert code == 0 and doc == {"mode": "smooth", "ok": True, "checked": 8}
+    code, doc = run(capsys, "steinberg-mult", "--r", "2", "--k", "2", "--w", "e", "--J", "-")
+    assert code == 0 and doc["m"] == 1
+
+
 def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
     # The console script and ``python -m`` call main() with no argv; the
     # parser must still see the verb to build its subparser alone.

@@ -406,3 +406,113 @@ def test_kl_poly_matches_r_polynomial_route(n):
             assert tuple(total) == kl_poly(x, w), (x, w)
             pairs += 1
     assert pairs == {4: 189, 5: 3661}[n]
+
+
+
+def poly_combination(*terms):
+    """The sum of the products a * b over the pairs (a, b) of coefficient
+    lists in ``terms``, with trailing zeros dropped."""
+    out = [0] * max((len(a) + len(b) - 1 for a, b in terms if a and b), default=0)
+    for a, b in terms:
+        for i, c in enumerate(a):
+            for j, d in enumerate(b, i):
+                out[j] += c * d
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def parabolic_kl_at_e(n, J, x_is_q=True):
+    """{v: P^{J,x}_{e,v}} over W^J, the v of S_n with no right descent in
+    J, by Deodhar's parabolic R-polynomials (Deodhar, J. Algebra 111
+    (1987); Björner-Brenti §6.1-6.3), with x = q, or x = -1 when
+    ``x_is_q`` is false.  For s a left descent of v (s_i y swaps the
+    values i and i + 1 of y): R^J_{u,v} = R^J_{su,sv} if s is a left
+    descent of u; (q - 1) R^J_{u,sv} + q R^J_{su,sv} if not and su is in
+    W^J; and (q - 1 - x) R^J_{u,sv} if su is not in W^J.  R^J_{v,v} = 1,
+    and R^J_{u,v} = 0 when l(u) >= l(v) and u != v, so the recursion
+    makes R^J_{u,v} = 0 for every u not below v with no Bruhat test.
+    P^J is then solved as in ``test_kl_poly_matches_r_polynomial_route``:
+    P^J_{u,v} is minus the sum of R^J_{u,z} P^J_{z,v} over the z of W^J
+    with u < z <= v, cut below degree (l(v) - l(u)) / 2.  Lengths are
+    inversion counts; nothing here reads the package."""
+    group = list(itertools.permutations(range(1, n + 1)))
+    cosets = [v for v in group if not any(v[i - 1] > v[i] for i in J)]
+    in_cosets = set(cosets)
+    lengths = {v: sum(a > b for a, b in itertools.combinations(v, 2)) for v in cosets}
+    q, q_minus_1 = [0, 1], [-1, 1]
+    q_minus_1_minus_x = [-1] if x_is_q else q
+    R = {}
+
+    def r_poly(u, v):
+        if (u, v) in R:
+            return R[u, v]
+        if u == v:
+            out = [1]
+        elif lengths[u] >= lengths[v]:
+            out = []
+        else:
+            s = next(i for i in range(1, n) if v.index(i) > v.index(i + 1))
+            # s_s y: the values s and s + 1 of y swapped.
+            sv, su = (tuple(2 * s + 1 - a if a in (s, s + 1) else a for a in y) for y in (v, u))
+            if u.index(s) > u.index(s + 1):
+                out = r_poly(su, sv)
+            elif su in in_cosets:
+                out = poly_combination((q_minus_1, r_poly(u, sv)), (q, r_poly(su, sv)))
+            else:
+                out = poly_combination((q_minus_1_minus_x, r_poly(u, sv)))
+        R[u, v] = out
+        return out
+
+    above = {u: [(z, r) for z in cosets if z != u and (r := r_poly(u, z))] for u in cosets}
+    by_length = sorted(cosets, key=lambda u: -lengths[u])
+    e = tuple(range(1, n + 1))
+    out = {}
+    for v in cosets:
+        P = {v: [1]}
+        for u in by_length:
+            if u == v or not R[u, v]:
+                continue
+            low = [0] * ((lengths[v] - lengths[u] + 1) // 2)
+            for z, r in above[u]:
+                p = P.get(z)
+                if p:
+                    for i, a in enumerate(r[: len(low)]):
+                        for j, b in enumerate(p[: len(low) - i], i):
+                            low[j] -= a * b
+            while low and low[-1] == 0:
+                low.pop()
+            P[u] = low
+        out[v] = P[e]
+    return out
+
+
+def parabolic_sums_match_deodhar(n, x_is_q=True):
+    """Whether, for every K of S_n and every v, ``_parabolic_verma_mult``
+    (the alternating sum of P_{u,v}(1) over u in W_K) equals
+    P^{K,x}_{e,v}(1) for v in W^K and 0 for the other v, the ones with a
+    right descent in K, where the sum cancels in pairs u, us.  Shape
+    (1, n) makes every set of simple reflections a block mask."""
+    for mask in range(1 << (n - 1)):
+        K = {b + 1 for b in range(n - 1) if mask >> b & 1}
+        deodhar = parabolic_kl_at_e(n, K, x_is_q)
+        memo = {}
+        for v in itertools.permutations(range(1, n + 1)):
+            want = sum(deodhar[v]) if v in deodhar else 0
+            if kl_mult._parabolic_verma_mult(1, n, mask, (v,), memo) != want:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_parabolic_verma_mult_matches_deodhar(n):
+    # The alternating sums that both Steinberg routes are built from,
+    # against Deodhar's parabolic KL polynomials at q = 1, a route that
+    # never calls kl_poly: every K and every v of S4 and S5.
+    assert parabolic_sums_match_deodhar(n)
+
+
+def test_deodhar_check_fails_with_x_minus_one():
+    # x = -1 makes the coefficient for an su outside W^K q, not -1, and
+    # gives P^{K,-1}, which differs at q = 1 on most K of S4 (6 of 8).
+    assert not parabolic_sums_match_deodhar(4, x_is_q=False)

@@ -325,6 +325,67 @@ def test_oracle_builds_one_cube_per_J_top(monkeypatch):
         assert sorted(cubes) == sorted({max(extras) for _, _, extras in groups})
 
 
+@pytest.mark.parametrize("r, k, d_L", [(1, 4, 2), (2, 2, 3)])
+def test_oracle_builds_one_vector_per_J_top_and_component(monkeypatch, r, k, d_L):
+    # The check's oracle asks _parabolic_verma_mult for one component at a
+    # time, once per (J_top, component) and K between S and J_top: one
+    # vector per pair, never one product per w.  Vectors of two J_top ask
+    # again for the (K, component) pairs they share, which
+    # _parabolic_verma_mult answers from its own memo.
+    for S in all_blocksets(r, k):
+        s_mask = _mask(S.members)
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(
+                steinberg_mult,
+                "_parabolic_verma_mult",
+                lambda r, k, mask, w, memo: calls.append((mask, w))
+                or _parabolic_verma_mult(r, k, mask, w, memo),
+            )
+            assert analytic_tits_euler_check(S, d_L)
+        pairs = {
+            (top & ~s_mask, comp)
+            for w, top, _ in _label_groups(S, d_L, None, multisets=True)
+            for comp in w
+        }
+        per_vector = [(s_mask | e, (comp,)) for top, comp in pairs for e in _cube(0, top)]
+        assert sorted(calls) == sorted(per_vector)
+
+
+def test_oracle_memo_keeps_vectors_apart_from_verma_sums():
+    # The oracle's dict also holds _parabolic_verma_mult's rows, under a
+    # mask, and its per-component sums, under (mask, component).  No
+    # vector may sit under a key of either shape: the sum for that key
+    # would then read a list.
+    for r, k, d_L in [(1, 4, 2), (2, 2, 3)]:
+        for S in all_blocksets(r, k):
+            memo = {}
+            for w, _, extras in _label_groups(S, d_L, None, multisets=True):
+                _oracle_values(w, S, max(extras), memo)
+            for key, value in memo.items():
+                if isinstance(key, int):
+                    assert all(len(row) == 2 for row in value)
+                elif key[0] == "cube":
+                    assert isinstance(value, tuple)
+                else:
+                    mask, comp = key
+                    assert value == _parabolic_verma_mult(r, k, mask, (comp,), {})
+
+
+@pytest.mark.parametrize("r, k, d_L", [(1, 4, 2), (2, 2, 3), (4, 1, 2)])
+def test_cut_tables_are_kept_per_J_top_and_component(r, k, d_L):
+    # Folds that share one dict, in label order, must equal folds with a
+    # fresh dict key for key, and hold only masks inside their J_top.  A
+    # cut kept per component alone would carry the masks of a larger
+    # J_top into the folds of a smaller one.
+    for S in all_blocksets(r, k):
+        memo = {}
+        for w, top, _ in _label_groups(S, d_L, None):
+            folded = steinberg_mult._fold(w, S, top, memo)
+            assert folded == steinberg_mult._fold(w, S, top, {})
+            assert not any(outer & ~top for outer in folded)
+
+
 @pytest.mark.parametrize("r, k, d_L", [(1, 4, 2), (2, 3, 1), (3, 2, 2)])
 def test_generated_labels_pass_the_preconditions(r, k, d_L):
     # enumerate_constituents and analytic_tits_euler_check do not check

@@ -12,7 +12,8 @@ each failure with {"error": ...} on stdout:
 - 2 bad input: a usage error or a failed precondition, such as a rank
   below 1, or an option that the mode would ignore (``--S``, ``--dL`` or
   ``--max-len`` on a smooth ``tits-check``, ``--max-len`` with
-  ``steinberg-mult --w``) given a value other than its default;
+  ``steinberg-mult --w``, ``--J`` on a ``steinberg-mult`` listing) given
+  a value other than its default;
 - 3 a resource bound was exceeded, such as the enumeration bound, the
   KL memo cap, the label bound, or a constituent listing above rank 6
   without --max-len;
@@ -161,6 +162,8 @@ def steinberg_cmd(
             }
         )
         return
+    if j_text != "-":
+        raise ValueError("--J applies only with --w, not to a listing")
     out = steinberg_mult.enumerate_constituents(S, d_l, max_len)
     _emit(
         {

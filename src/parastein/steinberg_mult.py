@@ -9,34 +9,34 @@ Both must agree on every admissible input; the test suite enforces this.
 Block sets are int bitmasks, block index i being bit i - 1, from label
 generation through both routes; ``BlockSet``s are built only at the
 public boundary.  A label (w, J) of the module attached to S travels as
-w and the mask of J minus S.  Both routes are symmetric in the d_L
-components of w, one per embedding of L: the formula's fold is a
-commutative OR-convolution, the oracle's multiplicity a product over
-components, and J_top and the length do not see their order.  So
-``analytic_tits_euler_check`` walks one w per multiset of components and
-folds and transforms each, and ``enumerate_constituents`` lists every w
-but folds each multiset once and hands its values to every ordering.
-The formula OR-folds the components' tables, keyed by outer support
-minus S, and reads each label with one lookup.  It builds one table per
-component per call, over the largest J_top among the w that hold that
-component, which answers every smaller J_top, and cuts it down to each
-J_top once per call, so a fold reads its components' cut lists.  The
-oracle's generalized Verma multiplicity at K is the product over the
-components c of their alternating sums a_K(c), so it builds once per
-call, for each J_top and component, the vector of a_K(c) over the K
-between S and J_top, kept beside that cube's sign vector.  A w's oracle
-values are then one entrywise product of the signs and its components'
-vectors, summed over every K below each J by one subset-sum transform.
-Each route keeps its own per-call dict, the formula's tables and cuts
-apart from the oracle's vectors and sums, so a value is computed once
-per call but never passed from one route to the other, and the check
-stays independent.  The smooth Euler check is the same
-transform on a signed indicator, and ``check_complex_squares_zero``
-keeps its signs as int bitsets.  All three list masks in cube order
-(``_cube``), where flipping a block flips one bit of the list index, so
-the transform is list arithmetic.  ``GrothVector``, a finitely supported
-integer-valued function on opaque labels, is kept for callers; no check
-uses it.
+w and the mask of J minus S; w's labels are the J between S and J_top,
+S plus the ascent blocks of w, and both routes take the mask of J_top
+minus S.  Both routes are symmetric in the d_L components of w, one per
+embedding of L: the formula's fold is a commutative OR-convolution, the
+oracle's multiplicity a product over components, and J_top and the
+length do not see their order.  So ``analytic_tits_euler_check`` walks
+one w per multiset of components and folds and transforms each, and
+``enumerate_constituents`` lists every w but folds each multiset once
+and hands its values to every ordering.  The formula OR-folds the
+components' tables, keyed by outer support minus S, and reads each
+label with one lookup.  A call keeps each component's table with the
+top it covers, and each cut of it to a J_top, so a table serves every
+top inside its own and is rebuilt only for one that is not; the folds
+do not depend on the order of the calls.  The oracle's generalized
+Verma multiplicity at K is the product over the components c of their
+alternating sums a_K(c), so it builds once per call, for each J_top and
+component, the vector of a_K(c) over the K between S and J_top, kept
+beside that cube's sign vector.  A w's oracle values are then one
+entrywise product of the signs and its components' vectors, summed over
+every K below each J by one subset-sum transform.  Each route keeps its
+own per-call dict, so a value is computed once per call but never
+passed from one route to the other, and the check stays independent.
+The smooth Euler check is the same transform on a signed indicator, and
+``check_complex_squares_zero`` keeps its signs as int bitsets.  All
+three list masks in cube order (``_cube``), where flipping a block flips
+one bit of the list index, so the transform is list arithmetic.
+``GrothVector``, a finitely supported integer-valued function on opaque
+labels, is kept for callers; no check uses it.
 """
 
 from __future__ import annotations
@@ -166,9 +166,8 @@ def steinberg_multiplicity(w: MultiWeyl, J: BlockSet, S: BlockSet) -> int:
     plus J' whose outer support lies in J, and an OR of masks lies in J
     exactly when each mask does.  So ``enumerate_constituents`` and
     ``analytic_tits_euler_check`` fold each multiset of components once,
-    with tables over J_top = S plus the ascent blocks of w or over a
-    larger top (see ``_component_table``), and read every label (w, J)
-    off that fold.  This function folds over its own J.
+    over the mask of J_top minus S, and read every label (w, J) off that
+    fold.  This function folds over its own J.
 
     >>> from .cosets import BlockSet
     >>> empty = BlockSet(2, 2)
@@ -182,35 +181,34 @@ def steinberg_multiplicity(w: MultiWeyl, J: BlockSet, S: BlockSet) -> int:
     1
     """
     _check_preconditions(w, J, S)
-    return _read_fold(_fold(w, S, _mask(J.members), {}), _mask(J.members - S.members))
+    extra = _mask(J.members - S.members)
+    return _read_fold(_fold(w, S, extra, {}), extra)
 
 
 def _component_table(comp: Perm, S: BlockSet, top: int, memo: dict) -> dict:
     """{outer mask minus S: sum of (-1)^{l(u)} P_{u,comp}(1)} over u in
-    the parabolic on the inner roots plus the blocks of the mask ``top``.
-    ``memo`` keeps the rows (u, outer mask minus S, l(u)) of each
-    parabolic, under its mask, and one table per component, under the
-    component, so callers that pass one dict share them across labels;
-    ``_fold`` keeps its cuts of the tables in the same dict.  A u other
-    than ``comp`` and at least as long is not below it, so its
-    P_{u,comp} = 0 is skipped without a KL lookup.  The keys hold neither
-    S nor its shape: one dict serves one S.
-
-    A table is built over the ``top`` of the first fold that asks for it;
-    later folds read only masks inside their own tops, which are no
-    larger (see ``steinberg_multiplicity``): in label order a component
-    first comes in (comp,) at d_L = 1, its only w, and at d_L >= 2 in
-    (e, ..., e, comp), whose top is every block.  That w has sorted
-    components, so it is listed with or without ``multisets``."""
-    table = memo.get(comp)
-    if table is not None:
-        return table
+    the parabolic on the inner roots plus S plus the blocks of ``top``, a
+    mask of blocks outside S, or over a larger such parabolic.  ``memo``
+    keeps the rows (u, outer mask minus S, l(u)) of each parabolic, under
+    its mask, and each component's table with the mask it covers, under
+    the component; ``_fold`` keeps its cuts in the same dict.  A kept
+    table is returned if its mask holds ``top`` and rebuilt over the
+    union of the two masks if not, so it never lacks a u of the parabolic
+    asked for.  A u other than ``comp`` and at least as long is not below
+    it, so its P_{u,comp} = 0 is skipped without a KL lookup.  One dict
+    serves one S."""
+    entry = memo.get(comp)
+    if entry is not None:
+        covered, table = entry
+        if not top & ~covered:
+            return table
+        top |= covered
     rows = memo.get(top)
     if rows is None:
-        r, off_s = S.r, ~_mask(S.members)
+        r, s_mask = S.r, _mask(S.members)
         rows = memo[top] = [
-            (u, sum(1 << (i // r - 1) for i in support(u) if i % r == 0) & off_s, length(u))
-            for u in enumerate_parabolic(S.n, _parabolic_roots(r, S.k, top))
+            (u, sum(1 << (i // r - 1) for i in support(u) if i % r == 0) & ~s_mask, length(u))
+            for u in enumerate_parabolic(S.n, _parabolic_roots(r, S.k, s_mask | top))
         ]
     table = {}
     l_comp = length(comp)
@@ -220,32 +218,29 @@ def _component_table(comp: Perm, S: BlockSet, top: int, memo: dict) -> dict:
         val = poly_eval_one(kl_poly(u, comp))
         if val:
             table[outer] = table.get(outer, 0) + (-val if l_u % 2 else val)
-    memo[comp] = table
+    memo[comp] = top, table
     return table
 
 
 def _fold(w: MultiWeyl, S: BlockSet, top: int, memo: dict) -> dict:
-    """G: the OR-convolution of the components' ``_component_table``s,
-    each over the mask ``top`` or a larger one, at the masks inside
-    ``top``.  An OR only adds bits, so an entry with a bit outside
-    ``top`` reaches no mask inside it: each table is cut down to ``top``
-    before it is folded.  The cut, a list of (mask, value) pairs, is made
-    once per (``top``, component) and kept in ``memo`` under that pair,
-    beside the tables, so the w that share a J_top and a component share
-    it.  The fold starts from the first cut (from {0: 1}, the empty
-    product, when w has no component)."""
+    """G: the OR-convolution of the components' ``_component_table``s at
+    the masks inside ``top``, the mask of J_top minus S.  An OR only adds
+    bits, so an entry with a bit outside ``top`` reaches no mask inside
+    it: each table is cut down to ``top`` before it is folded.  The cut,
+    a list of (mask, value) pairs, is made once per (``top``, component)
+    and kept in ``memo`` under that pair, beside the tables, so the w
+    that share a J_top and a component share it."""
     cuts = []
     for comp in w:
         cut = memo.get((top, comp))
         if cut is None:
-            outside = ~top
             cut = memo[top, comp] = [
                 (outer, v)
                 for outer, v in _component_table(comp, S, top, memo).items()
-                if not outer & outside
+                if not outer & ~top
             ]
         cuts.append(cut)
-    folded = dict(cuts[0]) if cuts else {0: 1}
+    folded = dict(cuts[0])
     for cut in cuts[1:]:
         step: dict = {}
         for outer_a, va in folded.items():
@@ -293,23 +288,22 @@ def _oracle_values(w: MultiWeyl, S: BlockSet, top: int, memo: dict) -> dict:
     sums a_K(c) = ``_parabolic_verma_mult`` on (c,), the factorization
     that ``_parabolic_verma_mult`` itself uses.  So F is the entrywise
     product of the sign vector (-1)^{|K minus S|} and, per component, the
-    vector of its a_K(c) over the cube.  ``memo`` keeps under
-    ("cube", top) that cube, its sign vector, S's mask and a dict
-    {component: vector}, each built once per call; it is also passed on
-    to ``_parabolic_verma_mult``, whose keys (a mask, or a mask and a
-    component) are never a ("cube", top) pair.  One dict serves one S."""
-    entry = memo.get(("cube", top))
+    vector of its a_K(c) over the cube.  ``memo`` keeps under ``top``
+    that cube, its sign vector, S's mask and a dict {component: vector},
+    each built once per call, and under "verma" the one dict that it
+    hands to ``_parabolic_verma_mult``, which only that function writes.
+    One dict serves one S."""
+    entry = memo.get(top)
     if entry is None:
         cube = _cube(0, top)
         signs = tuple(-1 if extra.bit_count() % 2 else 1 for extra in cube)
-        entry = memo["cube", top] = (cube, signs, _mask(S.members), {})
-    cube, values, s_mask, vectors = entry
+        entry = memo[top] = (cube, signs, _mask(S.members), {}, memo.setdefault("verma", {}))
+    cube, values, s_mask, vectors, verma = entry
     for comp in w:
         vector = vectors.get(comp)
         if vector is None:
-            single = (comp,)
             vector = vectors[comp] = [
-                _parabolic_verma_mult(S.r, S.k, s_mask | extra, single, memo) for extra in cube
+                _parabolic_verma_mult(S.r, S.k, s_mask | extra, (comp,), verma) for extra in cube
             ]
         values = list(map(mul, values, vector))
     return dict(zip(cube, _subset_sums(values)))
@@ -340,13 +334,13 @@ def _label_groups(
     S: BlockSet, d_L: int, max_len: int | None, multisets: bool = False
 ) -> list[tuple[MultiWeyl, int, list[int]]]:
     """The admissible labels grouped by w, in label order: (w, mask of
-    J_top, [mask of J minus S, ...]), where J_top is S plus the ascent
-    blocks of w and the J are the block sets between S and J_top.
+    J_top minus S, [mask of J minus S, ...]), where J_top is S plus the
+    ascent blocks of w and the J are the block sets between S and J_top.
     Labels sort by (length, one-line lex, sorted members of J), so each
-    w's labels are consecutive.  The w with the same ascent blocks share
-    one list of masks.  With ``multisets``, only the w whose components
-    do not decrease are listed: one w per multiset of components, the
-    first of its orderings in label order.  More than ``MAX_LABEL_WS`` w
+    w's labels are consecutive.  The w with the same J_top share one list
+    of masks.  With ``multisets``, only the w whose components do not
+    decrease are listed: one w per multiset of components, the first of
+    its orderings in label order.  More than ``MAX_LABEL_WS`` w
     raise ``BoundExceededError`` before any prefix is built; the bound
     counts every w, so it is the same with or without ``multisets``."""
     if d_L < 1:
@@ -360,14 +354,14 @@ def _label_groups(
         max_len = d_L * n * (n - 1) // 2
     s_mask = _mask(S.members)
     needed = _parabolic_roots(S.r, S.k, s_mask)
-    # Per representative: its length and the mask of the blocks among its
-    # left ascents, computed once.
+    # Per representative: its length and the mask of the blocks outside S
+    # among its left ascents, computed once.
     reps = []
     for w in enumerate_group(n):
         ascents = left_ascents(w)
         if needed <= ascents:
             blocks = sum(1 << (i - 1) for i in range(1, S.k) if i * S.r in ascents)
-            reps.append((w, length(w), blocks))
+            reps.append((w, length(w), blocks & ~s_mask))
     # The w are counted before any prefix is built: the representatives'
     # length histogram convolved d_L times, cut at max_len.  e is
     # admissible and has length 0, so the count never falls from one
@@ -416,15 +410,13 @@ def _label_groups(
     # The chains are in lex order, so a stable sort by length alone puts
     # the w in label order.
     combos = sorted(zip(zip(*reversed(columns)), lengths, blocks), key=itemgetter(1))
-    # Per distinct set of ascent blocks: J_top's mask and the labels'
-    # masks of J minus S, sorted by the members of J.
-    by_blocks: dict[int, tuple[int, list[int]]] = {}
-    for _, _, blocks in combos:
-        if blocks not in by_blocks:
-            extras = _cube(0, blocks & ~s_mask)
-            extras.sort(key=lambda e: sorted(_members(s_mask | e)))
-            by_blocks[blocks] = (s_mask | blocks, extras)
-    return [(combo, *by_blocks[blocks]) for combo, _, blocks in combos]
+    # Per distinct J_top: the labels' masks of J minus S, sorted by the
+    # members of J.
+    by_top: dict[int, list[int]] = {}
+    for _, _, top in combos:
+        if top not in by_top:
+            by_top[top] = sorted(_cube(0, top), key=lambda e: sorted(_members(s_mask | e)))
+    return [(combo, top, by_top[top]) for combo, _, top in combos]
 
 
 def _block_set(S: BlockSet, extra: int, block_sets: dict) -> BlockSet:
@@ -623,33 +615,27 @@ def analytic_tits_euler_check(
     Both routes are symmetric in the components of w, so the labels are
     walked once per multiset of components: one w with sorted components
     stands for all its orderings (``_label_groups`` with ``multisets``).
-    The label bound still counts every w.  For each such w the formula
-    OR-folds its component tables over J_top and reads every label off
-    that fold (see ``steinberg_multiplicity``), and the oracle runs one
-    subset-sum transform of its signed generalized Verma multiplicities
-    over the K between S and J_top, the entrywise product of its
-    components' vectors (``_oracle_values``); the two are then compared
-    label by label.  Each walked w is its own sorted
-    multiset, so no value is kept from one w to the next.  The symmetry
-    itself is checked by the test suite, on both routes and every
-    ordering.  The formula and the
-    oracle each keep their own dict for the whole call: the formula's
-    holds one ``_component_table`` per component and one cut of it per
-    (J_top, component), the oracle's its per-K rows, per-(K, component)
-    alternating sums and, per J_top, one ``_cube``, its sign vector and
-    one vector per component.  No entry passes from one route to the
-    other, so each label's two integers are still computed
-    independently.
+    The label bound still counts every w.  For each such w, both routes
+    take the mask of J_top minus S: the formula OR-folds its component
+    tables and reads every label off that fold (see
+    ``steinberg_multiplicity``), and the oracle runs one subset-sum
+    transform of its signed generalized Verma multiplicities over the K
+    between S and J_top (``_oracle_values``); the two are then compared
+    label by label.  Each walked w is its own sorted multiset, so no value
+    is kept from one w to the next.  The symmetry itself is checked by the
+    test suite, on both routes and every ordering.  The formula and the
+    oracle each keep their own dict for the whole call, and no entry
+    passes from one route to the other, so each label's two integers are
+    computed independently.
 
     >>> analytic_tits_euler_check(BlockSet(2, 2), 1)
     True
     """
-    off_s = ~_mask(S.members)
     formula_memo: dict = {}
     oracle_memo: dict = {}
     for w, top, extras in _label_groups(S, d_L, max_len, multisets=True):
         folded = _fold(w, S, top, formula_memo)
-        oracle = _oracle_values(w, S, top & off_s, oracle_memo)
+        oracle = _oracle_values(w, S, top, oracle_memo)
         for extra in extras:
             if _read_fold(folded, extra) != oracle[extra]:
                 return False

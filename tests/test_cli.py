@@ -349,8 +349,12 @@ def test_usage_errors_exit_2(capsys, argv):
             ["mult", "--r=2", "--k=2", "--dL=2", "--K=1", "--w=[1,3,2,4]"],
         ),
         (
-            ["steinberg-mult", "--r", "2", "--k", "2", "--dl", "2", "--s", "-", "--j", "1"],
-            ["steinberg-mult", "--r", "2", "--k", "2", "--dL", "2", "--S", "-", "--J", "1"],
+            ["steinberg-mult", "--r", "2", "--k", "2", "--dl", "2", "--s", "-", "--J", "-"],
+            ["steinberg-mult", "--r", "2", "--k", "2", "--dL", "2", "--S", "-"],
+        ),
+        (
+            ["steinberg-mult", "--r", "2", "--k", "2", "--w", "e", "--s", "-", "--j", "1"],
+            ["steinberg-mult", "--r", "2", "--k", "2", "--w", "e", "--S", "-", "--J", "1"],
         ),
         (
             ["steinberg-mult", "--r", "2", "--k", "2", "--S", "-", "--max-len", "1"],
@@ -421,12 +425,14 @@ def test_option_of_another_verb_exit_2(capsys):
         (["tits-check", "--r", "1", "--k", "4", "--max-len", "0"], "--max-len"),
         (["tits-check", "--r", "1", "--k", "4", "--analytic", "--smooth", "--S", "1"], "--S"),
         (["steinberg-mult", "--r", "2", "--k", "2", "--w", "e", "--max-len", "0"], "--max-len"),
+        (["steinberg-mult", "--r", "2", "--k", "2", "--dL", "1", "--S", "-", "--J", "1"], "--J"),
     ],
 )
 def test_option_the_mode_ignores_exit_2(capsys, argv, option):
-    # The smooth tits-check reads none of --S, --dL and --max-len, and a
-    # single-label steinberg-mult does not read --max-len: a value other
-    # than the default is rejected, not silently dropped.
+    # The smooth tits-check reads none of --S, --dL and --max-len, a
+    # single-label steinberg-mult does not read --max-len, and a listing
+    # does not read --J: a value other than the default is rejected, not
+    # silently dropped.
     code, doc = run(capsys, *argv)
     assert code == 2 and list(doc) == ["error"] and doc["error"].startswith(option + " ")
 

@@ -173,14 +173,15 @@ def test_enumerate_constituents_matches_per_label():
 def test_label_groups_fold_over_the_union_of_their_labels():
     # J_top is S plus the ascent blocks of w, which is the largest J
     # among w's labels; the labels are masks of J minus S, in the order
-    # of the sorted members of J, one list per distinct J_top.
+    # of the sorted members of J, one list per distinct J_top, and the
+    # top is the mask of J_top minus S, the OR of the labels' masks.
     for r, k, d_L in [(1, 4, 2), (2, 3, 1)]:
         for S in all_blocksets(r, k):
             s_mask = _mask(S.members)
             groups = _label_groups(S, d_L, None)
             lists = {}
             for w, top, extras in groups:
-                assert top == s_mask | functools.reduce(operator.or_, extras)
+                assert top == functools.reduce(operator.or_, extras)
                 assert all(extra & s_mask == 0 for extra in extras)
                 assert extras == sorted(extras, key=lambda e: sorted(label_J(S, e).members))
                 assert lists.setdefault(top, extras) is extras
@@ -353,23 +354,30 @@ def test_oracle_builds_one_vector_per_J_top_and_component(monkeypatch, r, k, d_L
 
 
 def test_oracle_memo_keeps_vectors_apart_from_verma_sums():
-    # The oracle's dict also holds _parabolic_verma_mult's rows, under a
-    # mask, and its per-component sums, under (mask, component).  No
-    # vector may sit under a key of either shape: the sum for that key
-    # would then read a list.
+    # The oracle's dict holds, per J_top minus S, its cube, signs, S's
+    # mask and vectors, and under "verma" the dict that only
+    # _parabolic_verma_mult writes: its rows under a mask, its
+    # per-component sums under (mask, component).  Each vector entry and
+    # each sum must equal a fresh _parabolic_verma_mult.
     for r, k, d_L in [(1, 4, 2), (2, 2, 3)]:
         for S in all_blocksets(r, k):
+            s_mask = _mask(S.members)
             memo = {}
-            for w, _, extras in _label_groups(S, d_L, None, multisets=True):
-                _oracle_values(w, S, max(extras), memo)
-            for key, value in memo.items():
-                if isinstance(key, int):
-                    assert all(len(row) == 2 for row in value)
-                elif key[0] == "cube":
-                    assert isinstance(value, tuple)
-                else:
-                    mask, comp = key
-                    assert value == _parabolic_verma_mult(r, k, mask, (comp,), {})
+            for w, top, _ in _label_groups(S, d_L, None, multisets=True):
+                _oracle_values(w, S, top, memo)
+            verma = memo.pop("verma")
+            assert memo and all(isinstance(top, int) for top in memo)
+            for top, (cube, signs, mask, vectors, shared) in memo.items():
+                assert cube == _cube(0, top) and mask == s_mask and shared is verma
+                assert signs == tuple((-1) ** extra.bit_count() for extra in cube)
+                for comp, vector in vectors.items():
+                    assert vector == [
+                        _parabolic_verma_mult(r, k, s_mask | extra, (comp,), {}) for extra in cube
+                    ]
+            sums = [key for key in verma if not isinstance(key, int)]
+            assert sums
+            for mask, comp in sums:
+                assert verma[mask, comp] == _parabolic_verma_mult(r, k, mask, (comp,), {})
 
 
 @pytest.mark.parametrize("r, k, d_L", [(1, 4, 2), (2, 2, 3), (4, 1, 2)])
@@ -384,6 +392,22 @@ def test_cut_tables_are_kept_per_J_top_and_component(r, k, d_L):
             folded = steinberg_mult._fold(w, S, top, memo)
             assert folded == steinberg_mult._fold(w, S, top, {})
             assert not any(outer & ~top for outer in folded)
+
+
+@pytest.mark.parametrize("r, k", [(1, 4), (2, 2), (4, 1)])
+def test_folds_do_not_depend_on_the_order_of_the_tops(r, k):
+    # One dict asked for small tops before large ones, then again from
+    # large to small: a table kept over a smaller top than the one asked
+    # for lacks u's of the larger parabolic, so each fold must equal a
+    # fold on a fresh dict.
+    for S in all_blocksets(r, k):
+        full = ((1 << (k - 1)) - 1) & ~_mask(S.members)
+        tops = sorted(_cube(0, full), key=int.bit_count)
+        memo = {}
+        for (comp,), _, _ in _label_groups(S, 1, None):
+            for top in tops + tops[::-1]:
+                folded = steinberg_mult._fold((comp,), S, top, memo)
+                assert folded == steinberg_mult._fold((comp,), S, top, {}), (S, comp, top)
 
 
 @pytest.mark.parametrize("r, k, d_L", [(1, 4, 2), (2, 3, 1), (3, 2, 2)])
@@ -454,7 +478,7 @@ def test_label_listing_is_linear_in_d_L():
     # listing holds one w of 20000 components; copying each prefix at
     # every step would copy about 2 * 10^8 entries.
     groups = _label_groups(BlockSet(1, 3, frozenset({1, 2})), 20000, None)
-    assert groups == [((identity(3),) * 20000, 0b11, [0])]
+    assert groups == [((identity(3),) * 20000, 0, [0])]
 
 
 def count_block_sets(monkeypatch):

@@ -4,9 +4,11 @@ The parser is the standard library's ``argparse``, built from the option
 rows of ``VERBS``: only the subparser of the verb in the first argument,
 or every subparser when the first argument names no verb.  Options are
 never abbreviated, ``--opt=value`` works, a repeated option's last value
-wins, and only ``--help`` prints help (plain text, exit 0).  Otherwise every
-verb prints exactly one JSON document on standard output.  Exit codes,
-each failure with {"error": ...} on stdout:
+wins, and only ``--help`` prints help (plain text, exit 0).  Otherwise a
+call prints exactly one JSON document, on one line of standard output.
+Each handler in ``VERBS`` returns its document as a dict and writes
+nothing; ``main()`` writes the one line, the handler's document or the
+{"error": ...} document of a failure, from a single write.  Exit codes:
 
 - 0 success;
 - 2 bad input: a usage error or a failed precondition, such as a rank
@@ -24,8 +26,7 @@ each failure with {"error": ...} on stdout:
 enter through ``run()``, which calls ``main()`` and freezes the garbage
 collector once the document is written.  The shutdown collections then
 skip the module graph, which the OS reclaims with the process, instead of
-freeing it object by object: on a shared 2-vCPU host a ``weyl`` call fell
-from a median 81.3 to 73.9 ms.  ``main()`` returns its code and leaves the
+freeing it object by object.  ``main()`` returns its code and leaves the
 collector alone, because tests and benchmarks call it in process.
 """
 
@@ -60,10 +61,6 @@ from .weyl_core import (
     right_descents,
     support,
 )
-
-
-def _emit(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, separators=(",", ":")) + "\n")
 
 
 def _parse_multiweyl(text: str, n: int, d_L: int) -> MultiWeyl:
@@ -102,22 +99,20 @@ def _parse_rep(text: str, k: int) -> ext_calc.RepDescriptor:
     raise ValueError(f"unknown rep descriptor tag: {tag!r}")
 
 
-def weyl_cmd(n: int, w_text: str) -> None:
+def weyl_cmd(n: int, w_text: str) -> dict:
     w = parse_perm(w_text, n)
-    _emit(
-        {
-            "w": format_perm(w),
-            "length": length(w),
-            "reduced_word": format_word(w),
-            "support": sorted(support(w)),
-            "left_descents": sorted(left_descents(w)),
-            "right_descents": sorted(right_descents(w)),
-            "ascents": sorted(left_ascents(w)),
-        }
-    )
+    return {
+        "w": format_perm(w),
+        "length": length(w),
+        "reduced_word": format_word(w),
+        "support": sorted(support(w)),
+        "left_descents": sorted(left_descents(w)),
+        "right_descents": sorted(right_descents(w)),
+        "ascents": sorted(left_ascents(w)),
+    }
 
 
-def cosets_cmd(n: int, i_text: str, j_text: str, matrices: bool) -> None:
+def cosets_cmd(n: int, i_text: str, j_text: str, matrices: bool) -> dict:
     I = parse_blockset(i_text, 1, n).members
     J = parse_blockset(j_text, 1, n).members
     reps = min_double_coset_reps(n, I, J)
@@ -128,109 +123,87 @@ def cosets_cmd(n: int, i_text: str, j_text: str, matrices: bool) -> None:
     }
     if matrices:
         doc["matrices"] = [coset_matrix(w, I, J) for w in reps]
-    _emit(doc)
+    return doc
 
 
-def kl_cmd(n: int, x_text: str, w_text: str) -> None:
+def kl_cmd(n: int, x_text: str, w_text: str) -> dict:
     x = parse_perm(x_text, n)
     w = parse_perm(w_text, n)
-    _emit({"coeffs": list(kl_mult.kl_poly(x, w))})
+    return {"coeffs": list(kl_mult.kl_poly(x, w))}
 
 
-def mult_cmd(r: int, k: int, d_l: int, k_text: str, w_text: str) -> None:
+def mult_cmd(r: int, k: int, d_l: int, k_text: str, w_text: str) -> dict:
     K = parse_blockset(k_text, r, k)
     w = _parse_multiweyl(w_text, r * k, d_l)
-    _emit({"K": format_blockset(K), "m": kl_mult.parabolic_verma_mult(K, w)})
+    return {"K": format_blockset(K), "m": kl_mult.parabolic_verma_mult(K, w)}
 
 
 def steinberg_cmd(
     r: int, k: int, d_l: int, w_text: str | None, j_text: str, s_text: str, max_len: int | None
-) -> None:
+) -> dict:
     S = parse_blockset(s_text, r, k)
     if w_text is not None:
         if max_len is not None:
             raise ValueError("--max-len applies only to a listing, not with --w")
         J = parse_blockset(j_text, r, k)
         w = _parse_multiweyl(w_text, r * k, d_l)
-        m = steinberg_mult.steinberg_multiplicity(w, J, S)
-        _emit(
-            {
-                "w": ";".join(format_perm(c) for c in w),
-                "J": format_blockset(J),
-                "S": format_blockset(S),
-                "m": m,
-            }
-        )
-        return
+        return {
+            "w": ";".join(format_perm(c) for c in w),
+            "J": format_blockset(J),
+            "S": format_blockset(S),
+            "m": steinberg_mult.steinberg_multiplicity(w, J, S),
+        }
     if j_text != "-":
         raise ValueError("--J applies only with --w, not to a listing")
     out = steinberg_mult.enumerate_constituents(S, d_l, max_len)
-    _emit(
-        {
-            "S": format_blockset(S),
-            "constituents": [
-                {
-                    "w": ";".join(format_perm(c) for c in lab.w),
-                    "J": format_blockset(lab.J),
-                    "m": m,
-                }
-                for lab, m in out
-            ],
-        }
-    )
+    return {
+        "S": format_blockset(S),
+        "constituents": [
+            {"w": ";".join(format_perm(c) for c in lab.w), "J": format_blockset(lab.J), "m": m}
+            for lab, m in out
+        ],
+    }
 
 
-def jh_cmd(r: int, k: int) -> None:
+def jh_cmd(r: int, k: int) -> dict:
     factors = segments.jh_factors(r, k)
-    _emit({"count": len(factors), "factors": [format_blockset(f) for f in factors]})
+    return {"count": len(factors), "factors": [format_blockset(f) for f in factors]}
 
 
-def segments_cmd(r: int, k: int, i_text: str) -> None:
+def segments_cmd(r: int, k: int, i_text: str) -> dict:
     I = parse_blockset(i_text, r, k)
     segs = segments.pi_I_segments(r, k, I)
-    _emit(
-        {
-            "I": format_blockset(I),
-            "segments": [{"len": s.block_length, "twist": str(s.twist)} for s in segs],
-        }
-    )
+    return {
+        "I": format_blockset(I),
+        "segments": [{"len": s.block_length, "twist": str(s.twist)} for s in segs],
+    }
 
 
-def jacquet_cmd(r: int, k: int) -> None:
+def jacquet_cmd(r: int, k: int) -> dict:
     terms = segments.jacquet_decomposition(r, k)
-    _emit(
-        {
-            "count": len(terms),
-            "terms": [
-                {"w": format_perm(w), "exponents": [str(e) for e in exps]}
-                for w, exps in terms
-            ],
-        }
-    )
+    return {
+        "count": len(terms),
+        "terms": [{"w": format_perm(w), "exponents": [str(e) for e in exps]} for w, exps in terms],
+    }
 
 
-def tits_cmd(r: int, k: int, analytic: bool, s_text: str, d_l: int, max_len: int | None) -> None:
+def tits_cmd(r: int, k: int, analytic: bool, s_text: str, d_l: int, max_len: int | None) -> dict:
     if analytic:
         S = parse_blockset(s_text, r, k)
         ok = steinberg_mult.analytic_tits_euler_check(S, d_l, max_len)
-        _emit({"mode": "analytic", "S": format_blockset(S), "ok": ok})
-        return
+        return {"mode": "analytic", "S": format_blockset(S), "ok": ok}
     # The smooth check reads none of the analytic options: a value other
     # than the default would be silently ignored.
     ignored = (("--S", s_text, "-"), ("--dL", d_l, 1), ("--max-len", max_len, None))
     for option, value, default in ignored:
         if value != default:
             raise ValueError(f"{option} applies only with --analytic")
-    checked = 0
-    ok = True
-    for I in segments.jh_factors(r, k):
-        checked += 1
-        if not (
-            steinberg_mult.smooth_tits_euler_check(I)
-            and steinberg_mult.check_complex_squares_zero(I)
-        ):
-            ok = False
-    _emit({"mode": "smooth", "ok": ok, "checked": checked})
+    factors = segments.jh_factors(r, k)
+    ok = all(
+        steinberg_mult.smooth_tits_euler_check(I) and steinberg_mult.check_complex_squares_zero(I)
+        for I in factors
+    )
+    return {"mode": "smooth", "ok": ok, "checked": len(factors)}
 
 
 def ext_cmd(
@@ -242,7 +215,7 @@ def ext_cmd(
     r: int,
     k: int,
     d_l: int,
-) -> None:
+) -> dict:
     q = ext_calc.ExtQuery(
         kind,
         fixed_center,
@@ -255,14 +228,12 @@ def ext_cmd(
     )
     ans = ext_calc.ext_dim(q)
     if ans.status == "not-determined":
-        _emit({"status": "not-determined", "cite": ans.rule, "note": ans.note})
-    else:
-        _emit({"dim": ans.value, "cite": ans.rule})
+        return {"status": "not-determined", "cite": ans.rule, "note": ans.note}
+    return {"dim": ans.value, "cite": ans.rule}
 
 
-def selftest_cmd(level: str) -> None:
-    checks = run_selftest(level)
-    _emit({"ok": True, "level": level, "checks": checks})
+def selftest_cmd(level: str) -> dict:
+    return {"ok": True, "level": level, "checks": run_selftest(level)}
 
 
 class SelftestFailure(AssertionError):
@@ -277,8 +248,6 @@ def run_selftest(level: str) -> int:
     """Run the cross-module invariant suites; raises ``SelftestFailure``
     on the first failed check and returns the number of checks
     performed."""
-    from fractions import Fraction
-
     n_max = 5 if level == "quick" else 7
     k_max = 4 if level == "quick" else 5
     checks = 0
@@ -322,8 +291,7 @@ def run_selftest(level: str) -> int:
         for r in (1, 2, 3):
             base = segments.pi_base_twists(r, k)
             require(
-                sum((b - (k - i)) * r for i, b in enumerate(base, start=1))
-                == Fraction(0),
+                sum((b - (k - i)) * r for i, b in enumerate(base, start=1)) == 0,
                 "twist centrality",
             )
             tuples = [t for _, t in segments.jacquet_decomposition(r, k)]
@@ -438,25 +406,25 @@ def _parser(argv: list[str]) -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one call and write its document, the verb's or the failure's,
+    as the one line of stdout; return the exit code."""
     if argv is None:
         argv = sys.argv[1:]
     try:
         args = vars(_parser(argv).parse_args(argv))
         if args.get("n", 1) < 1:
             raise ValueError("n must be positive")
-        VERBS[args.pop("verb")][0](**args)
-        return 0
+        doc, code = VERBS[args.pop("verb")][0](**args), 0
     except _Help:
         return 0
     except BoundExceededError as exc:
-        _emit({"error": str(exc)})
-        return 3
+        doc, code = {"error": str(exc)}, 3
     except SelftestFailure as exc:
-        _emit({"error": str(exc), "check": exc.check})
-        return 4
+        doc, code = {"error": str(exc), "check": exc.check}, 4
     except (ValueError, AssertionError) as exc:
-        _emit({"error": str(exc)})
-        return 2
+        doc, code = {"error": str(exc)}, 2
+    sys.stdout.write(json.dumps(doc, separators=(",", ":")) + "\n")
+    return code
 
 
 def run() -> None:

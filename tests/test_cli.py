@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from parastein import cli_io
+from parastein import cli_io, steinberg_mult
 from parastein.cli_io import main
 from parastein.kl_mult import kl_cache_clear
 
@@ -616,13 +616,41 @@ README_EXAMPLES = _readme_examples()
 def test_readme_has_examples():
     assert len(README_EXAMPLES) == 14
     assert sum(expected is not None for _, expected in README_EXAMPLES) == 2
+    assert {argv[0] for argv, _ in README_EXAMPLES} == set(cli_io.VERBS)
 
 
 @pytest.mark.parametrize(
     "argv, expected", README_EXAMPLES, ids=[" ".join(argv) for argv, _ in README_EXAMPLES]
 )
 def test_readme_example(capsys, argv, expected):
-    code, doc = run(capsys, *argv)
-    assert code == 0
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0 and out.count("\n") == 1
     if expected is not None:
-        assert doc == expected
+        assert json.loads(out) == expected
+    # The verb's handler, on the options main parsed, writes nothing and
+    # returns the document that main prints.
+    args = vars(cli_io._parser(argv).parse_args(argv))
+    doc = cli_io.VERBS[args.pop("verb")][0](**args)
+    assert capsys.readouterr().out == ""
+    assert isinstance(doc, dict) and json.dumps(doc, separators=(",", ":")) + "\n" == out
+
+
+def test_main_writes_stdout_in_one_statement():
+    # One sys.stdout.write in the module, in main itself, and no print.
+    def calls(node):
+        return [ast.unparse(n.func) for n in ast.walk(node) if isinstance(n, ast.Call)]
+
+    tree = ast.parse(Path(cli_io.__file__).read_text())
+    main_def = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+    assert calls(tree).count("sys.stdout.write") == calls(main_def).count("sys.stdout.write") == 1
+    assert "print" not in calls(tree)
+
+
+def test_smooth_tits_failure_document(capsys, monkeypatch):
+    # Unsigned steps do not cancel, so each label with two free blocks or
+    # more fails its square check; the document still counts all 8 labels.
+    sign = steinberg_mult._sign
+    monkeypatch.setattr(steinberg_mult, "_sign", lambda top, bot: abs(sign(top, bot)))
+    assert main(["tits-check", "--r", "1", "--k", "4"]) == 0
+    assert capsys.readouterr().out == '{"mode":"smooth","ok":false,"checked":8}\n'

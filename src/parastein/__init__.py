@@ -5,10 +5,8 @@ Ext-dimension rule table."""
 
 from .cosets import (
     BlockSet,
-    block_embed,
     coset_matrix,
     double_coset_count_oracle,
-    is_in_W_IJ,
     min_double_coset_reps,
     modulus_exponents,
     parse_blockset,
@@ -44,7 +42,6 @@ from .weyl_core import (
     identity,
     inverse,
     length,
-    longest_element,
     multiply,
     parse_perm,
     reduced_word,

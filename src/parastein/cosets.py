@@ -3,9 +3,8 @@
 A ``BlockSet`` records a subset of the block-boundary simple roots
 ``{r, 2r, ..., (k-1)r}`` of ``S_n`` with ``n = r*k``, stored as block
 indices ``{1, ..., k-1}``.  Minimal-length double-coset representatives,
-the row/column-sum matrix bijection, the block-diagonal embedding
-``S_k -> S_n``, and the modulus exponents of the associated Levi blocks
-all live here.
+the row/column-sum matrix bijection, and the modulus exponents of the
+associated Levi blocks all live here.
 """
 
 from __future__ import annotations
@@ -173,60 +172,6 @@ def coset_matrix(
     return [
         [len(set(bi) & {w[j - 1] for j in bj}) for bj in J_blocks] for bi in I_blocks
     ]
-
-
-def block_embed(w_small: Perm, r: int) -> Perm:
-    """Block-diagonal embedding of S_k into S_{rk}: position (i-1)*r + l
-    maps to (w(i)-1)*r + l.
-
-    >>> block_embed((2, 1), 2)
-    (3, 4, 1, 2)
-    >>> block_embed((2, 3, 1), 1)
-    (2, 3, 1)
-    """
-    k = len(w_small)
-    out = [0] * (r * k)
-    for i in range(1, k + 1):
-        for l in range(1, r + 1):
-            out[(i - 1) * r + l - 1] = (w_small[i - 1] - 1) * r + l
-    return tuple(out)
-
-
-def block_restrict(w: Perm, r: int) -> Perm | None:
-    """Inverse of block_embed where defined: the S_k element whose
-    embedding is w, or None if w is not block-diagonal of width r.
-
-    >>> block_restrict((3, 4, 1, 2), 2)
-    (2, 1)
-    >>> block_restrict((1, 3, 2, 4), 2) is None
-    True
-    """
-    if len(w) % r != 0:
-        return None
-    # The candidate is read off the first entry of each block; w is an
-    # embedding exactly when it is the candidate's.
-    small = tuple((base - 1) // r + 1 for base in w[::r])
-    return small if block_embed(small, r) == w else None
-
-
-def is_in_W_IJ(w: Perm, I: BlockSet, J: BlockSet) -> bool:
-    """True iff w both normalizes the block Levi (is a block-diagonal
-    embedding of some S_k element) and is a minimal representative of its
-    double coset for the parabolics on inner roots plus I, resp. J.
-
-    >>> from .weyl_core import simple_reflection
-    >>> is_in_W_IJ((1, 2, 3, 4), BlockSet(2, 2), BlockSet(2, 2))
-    True
-    >>> is_in_W_IJ((3, 4, 1, 2), BlockSet(2, 2), BlockSet(2, 2))
-    True
-    >>> is_in_W_IJ(simple_reflection(2, 4), BlockSet(2, 2), BlockSet(2, 2))
-    False
-    """
-    if I.r != J.r or I.k != J.k:
-        raise ValueError("mismatched block shapes")
-    if block_restrict(w, I.r) is None:
-        return False
-    return is_min_rep(w, I.inner_roots() | I.roots(), J.inner_roots() | J.roots())
 
 
 def modulus_exponents(I: BlockSet) -> tuple[int, ...]:

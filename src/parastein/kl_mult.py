@@ -225,9 +225,9 @@ def _parabolic_verma_mult(r: int, k: int, mask: int, w: MultiWeyl, memo: dict) -
     (u, l(u)) of each parabolic and each per-component alternating sum,
     so callers that pass one dict build each of them once.  A u other
     than the component and at least as long is not below it, so its
-    P_{u,comp} = 0 is skipped without a KL lookup.  Keys hold the mask but not the shape: one dict
-    serves one (r, k).  Every component must have rank r * k; callers
-    check it at the boundary."""
+    P_{u,comp} = 0 is skipped without a KL lookup.  Keys hold the mask
+    but not the shape: one dict serves one (r, k).  Every component must
+    have rank r * k; callers check it at the boundary."""
     par = memo.get(mask)
     if par is None:
         roots = _parabolic_roots(r, k, mask)

@@ -119,15 +119,6 @@ def orientation_of(w: Perm) -> tuple[bool, ...]:
     return tuple(w[i - 1] < w[i] for i in range(1, k))
 
 
-def format_orientation(arrows: tuple[bool, ...]) -> str:
-    """Text form, ">" for a right arrow.
-
-    >>> format_orientation((True, False))
-    '><'
-    """
-    return "".join(">" if a else "<" for a in arrows)
-
-
 def theta_fiber(I: BlockSet) -> list[Perm]:
     """All w in S_k whose left-ascent set {i : w^{-1}(i) < w^{-1}(i+1)}
     equals the members of I; the fibers over all I partition S_k.

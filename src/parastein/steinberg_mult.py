@@ -3,8 +3,12 @@ plus formal Tits complexes verified in a Grothendieck group.
 
 ``steinberg_multiplicity`` implements the signed support-restricted sum
 over a parabolic Weyl group; ``steinberg_multiplicity_oracle`` is the
-independent inclusion-exclusion over generalized Verma multiplicities.
-Both must agree on every admissible input; the test suite enforces this.
+inclusion-exclusion over generalized Verma multiplicities.  Both must
+agree on every admissible input; the test suite enforces this.  They
+read the same ``kl_poly`` values (a component's alternating sum over K
+is the sum of its formula table inside K minus S), so their agreement
+checks supports, signs, cuts and the fold, not the values; the tests
+check those by Deodhar's parabolic KL polynomials and the W-graph.
 
 Block sets are int bitmasks, block index i being bit i - 1, from label
 generation through both routes; ``BlockSet``s are built only at the
@@ -30,7 +34,7 @@ beside that cube's sign vector.  A w's oracle values are then one
 entrywise product of the signs and its components' vectors, summed over
 every K below each J by one subset-sum transform.  Each route keeps its
 own per-call dict, so a value is computed once per call but never
-passed from one route to the other, and the check stays independent.
+passed from one route to the other.
 The smooth Euler check is the same transform on a signed indicator, and
 ``check_complex_squares_zero`` keeps its signs as int bitsets.  All
 three list masks in cube order (``_cube``), where flipping a block flips
@@ -258,11 +262,11 @@ def _read_fold(folded: dict, extra: int) -> int:
 
 
 def steinberg_multiplicity_oracle(w: MultiWeyl, J: BlockSet, S: BlockSet) -> int:
-    """Independent cross-check: inclusion-exclusion over the block sets K
-    between S and J of generalized Verma multiplicities, with sign
-    (-1)^{|K minus S|}.  The sum is read off ``_oracle_values`` over the
-    K between S and J, the transform that ``analytic_tits_euler_check``
-    runs once per multiset of components.
+    """Second route over the same KL values: inclusion-exclusion over the
+    block sets K between S and J of generalized Verma multiplicities,
+    with sign (-1)^{|K minus S|}.  The sum is read off ``_oracle_values``
+    over the K between S and J, the transform that
+    ``analytic_tits_euler_check`` runs once per multiset of components.
 
     >>> from .cosets import BlockSet
     >>> empty = BlockSet(2, 2)
@@ -468,28 +472,12 @@ def enumerate_constituents(
 # Formal Tits complexes
 
 
-def tits_differential_sign(K_prime: BlockSet, K: BlockSet) -> int:
-    """Sign of the differential component from the K' term to the K term:
-    zero unless K' = K plus one extra block index, in which case the sign
-    is (-1)^i where i is the 1-based position of the new index in the
-    sorted members of K'.
-
-    >>> tits_differential_sign(BlockSet(1, 4, frozenset({1, 3})), BlockSet(1, 4, frozenset({3})))
-    -1
-    >>> tits_differential_sign(BlockSet(1, 4, frozenset({1, 3})), BlockSet(1, 4, frozenset({1})))
-    1
-    >>> tits_differential_sign(BlockSet(1, 4, frozenset({1})), BlockSet(1, 4, frozenset({3})))
-    0
-    """
-    if K_prime.r != K.r or K_prime.k != K.k:
-        raise ValueError("mismatched block shapes")
-    return _sign(_mask(K_prime.members), _mask(K.members))
-
-
 def _sign(top: int, bot: int) -> int:
-    """``tits_differential_sign`` on bitmasks.  The position of the new
-    index among the members of ``top`` is the number of members at or
-    below it."""
+    """Sign of the Tits differential from the term of block mask ``top``
+    (block i is bit i - 1) to the term of mask ``bot``: zero unless
+    ``top`` is ``bot`` plus one block, and then (-1)^i, with i the
+    1-based position of the new block among the blocks of ``top``, that
+    is the number of them at or below it."""
     new = top ^ bot
     if not new or new & (new - 1) or bot & ~top:
         return 0
@@ -625,8 +613,9 @@ def analytic_tits_euler_check(
     is kept from one w to the next.  The symmetry itself is checked by the
     test suite, on both routes and every ordering.  The formula and the
     oracle each keep their own dict for the whole call, and no entry
-    passes from one route to the other, so each label's two integers are
-    computed independently.
+    passes from one route to the other.  Both read the same ``kl_poly``
+    values, though, so the check tests the supports, signs, cuts and the
+    fold, not those values (see the module docstring).
 
     >>> analytic_tits_euler_check(BlockSet(2, 2), 1)
     True

@@ -223,20 +223,6 @@ def blocks_of_rootset(n: int, roots: frozenset[int] | set[int]) -> list[tuple[in
     return blocks
 
 
-def longest_element(n: int, roots: frozenset[int] | set[int]) -> Perm:
-    """Longest element of the parabolic subgroup generated by {s_i : i in roots}:
-    each block of ``blocks_of_rootset`` reversed.
-
-    >>> longest_element(4, set())
-    (1, 2, 3, 4)
-    >>> longest_element(4, {1, 2, 3})
-    (4, 3, 2, 1)
-    >>> longest_element(4, {1, 3})
-    (2, 1, 4, 3)
-    """
-    return tuple(p for block in blocks_of_rootset(n, roots) for p in reversed(block))
-
-
 def enumerate_group(n: int) -> list[Perm]:
     """All of S_n in lexicographic one-line order.
 

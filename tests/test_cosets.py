@@ -4,13 +4,10 @@ import pytest
 
 from parastein.cosets import (
     BlockSet,
-    block_embed,
-    block_restrict,
     blocks_of_rootset,
     coset_matrix,
     double_coset_count_oracle,
     format_blockset,
-    is_in_W_IJ,
     matrix_count,
     min_double_coset_reps,
     modulus_exponents,
@@ -22,7 +19,6 @@ from parastein.weyl_core import (
     identity,
     length,
     multiply,
-    simple_reflection,
 )
 
 
@@ -167,47 +163,6 @@ def test_coset_matrix_injective_on_reps():
     reps = min_double_coset_reps(n, I, J)
     mats = {tuple(map(tuple, coset_matrix(w, I, J))) for w in reps}
     assert len(mats) == len(reps)
-
-
-def test_block_embed():
-    assert block_embed((1, 2), 2) == (1, 2, 3, 4)
-    assert block_embed((2, 1), 2) == (3, 4, 1, 2)
-    assert block_embed((2, 3, 1), 1) == (2, 3, 1)
-    # injective homomorphism with quadratic length scaling
-    for r in (1, 2, 3):
-        images = {}
-        for u in enumerate_group(3):
-            for v in enumerate_group(3):
-                assert block_embed(multiply(u, v), r) == multiply(
-                    block_embed(u, r), block_embed(v, r)
-                )
-            img = block_embed(u, r)
-            assert length(img) == r * r * length(u)
-            images[img] = u
-            assert block_restrict(img, r) == u
-        assert len(images) == 6
-
-
-def test_block_restrict_inverts_block_embed():
-    # Over all of S_n: the result is defined exactly on the images of
-    # block_embed, and there it returns the element embedded.
-    for n in range(1, 7):
-        for r in (r for r in range(1, n + 1) if n % r == 0):
-            images = {block_embed(u, r): u for u in enumerate_group(n // r)}
-            for w in enumerate_group(n):
-                assert block_restrict(w, r) == images.get(w)
-
-
-def test_is_in_W_IJ():
-    e4 = identity(4)
-    empty = BlockSet(2, 2)
-    assert is_in_W_IJ(e4, empty, empty)
-    assert is_in_W_IJ((3, 4, 1, 2), empty, empty)
-    assert not is_in_W_IJ(simple_reflection(2, 4), empty, empty)
-    # every block embedding of a minimal S_k rep is in the set
-    full = BlockSet(2, 2, frozenset({1}))
-    assert is_in_W_IJ(e4, full, full)
-    assert not is_in_W_IJ((3, 4, 1, 2), full, full)
 
 
 def test_modulus_exponents():

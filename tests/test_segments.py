@@ -6,7 +6,6 @@ import pytest
 from parastein.cosets import BlockSet
 from parastein.segments import (
     Segment,
-    format_orientation,
     jacquet_decomposition,
     jacquet_twists,
     jh_factors,
@@ -19,9 +18,10 @@ from parastein.weyl_core import (
     DEFAULT_ENUM_BOUND,
     BoundExceededError,
     enumerate_group,
+    enumerate_parabolic,
     identity,
     inverse,
-    longest_element,
+    length,
 )
 
 
@@ -91,7 +91,6 @@ def test_segment_validation():
 def test_orientation():
     assert orientation_of(identity(3)) == (True, True)
     assert orientation_of((3, 1, 2)) == (False, True)
-    assert format_orientation((True, False)) == "><"
 
 
 def test_theta_fibers_partition():
@@ -101,7 +100,7 @@ def test_theta_fibers_partition():
             fiber = theta_fiber(I)
             # each fiber contains the longest element of the parabolic on
             # the complementary blocks
-            w_long = longest_element(k, frozenset(range(1, k)) - I.members)
+            w_long = max(enumerate_parabolic(k, frozenset(range(1, k)) - I.members), key=length)
             assert w_long in fiber
             for w in fiber:
                 winv = inverse(w)

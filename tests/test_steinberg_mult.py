@@ -17,10 +17,12 @@ from parastein.kl_mult import (
 from parastein.steinberg_mult import (
     GrothVector,
     _check_preconditions,
+    _component_table,
     _cube,
     _label_groups,
     _mask,
     _oracle_values,
+    _sign,
     _subset_sums,
     analytic_tits_euler_check,
     check_complex_squares_zero,
@@ -28,7 +30,6 @@ from parastein.steinberg_mult import (
     smooth_tits_euler_check,
     steinberg_multiplicity,
     steinberg_multiplicity_oracle,
-    tits_differential_sign,
 )
 from parastein.weyl_core import (
     BoundExceededError,
@@ -524,6 +525,25 @@ def test_shared_oracle_memo_matches_fresh_oracle():
                     assert values[extra] == steinberg_multiplicity_oracle(w, label_J(S, extra), S)
 
 
+def test_oracle_sums_are_subset_sums_of_formula_tables():
+    # a_K(c) = sum of f_c(T) over the T inside K minus S, with f_c the
+    # formula's table of c and a_K(c) the oracle's alternating sum: u lies
+    # in the parabolic on the inner roots plus K exactly when its outer
+    # support minus S lies in K minus S.  The two routes read the same KL
+    # values, so analytic_tits_euler_check cannot see a wrong one.
+    for r, k in [(1, 4), (2, 2), (4, 1), (1, 5), (2, 3), (3, 2)]:
+        for S in all_blocksets(r, k):
+            s_mask = _mask(S.members)
+            free = ((1 << (k - 1)) - 1) & ~s_mask
+            formula_memo, verma_memo = {}, {}
+            for (comp,), _, _ in _label_groups(S, 1, None):
+                table = _component_table(comp, S, free, formula_memo)
+                for extra in _cube(0, free):
+                    subset_sum = sum(v for outer, v in table.items() if not outer & ~extra)
+                    K_mask = s_mask | extra
+                    assert _parabolic_verma_mult(r, k, K_mask, (comp,), verma_memo) == subset_sum
+
+
 def inclusion_exclusion(w, J, S, memo):
     """Brute force for the oracle: its sum over the K between S and J,
     one term per K, with ``memo`` a dict of the test's own."""
@@ -650,13 +670,11 @@ def test_enumerate_constituents_k1():
 
 
 def test_tits_differential_sign():
-    K13 = BlockSet(1, 4, frozenset({1, 3}))
-    assert tits_differential_sign(K13, BlockSet(1, 4, frozenset({3}))) == -1
-    assert tits_differential_sign(K13, BlockSet(1, 4, frozenset({1}))) == 1
-    assert tits_differential_sign(BlockSet(1, 4, frozenset({1})), K13) == 0
-    # Both n = 4, but blocks of size 1 against blocks of size 2.
-    with pytest.raises(ValueError, match="mismatched block shapes"):
-        tits_differential_sign(BlockSet(1, 4, frozenset({1})), BlockSet(2, 2))
+    # Blocks {1, 3} to {3} removes block 1, the first of {1, 3}; to {1}
+    # removes block 3, the second.
+    assert _sign(0b101, 0b100) == -1
+    assert _sign(0b101, 0b001) == 1
+    assert _sign(0b001, 0b101) == 0
 
 
 def sorted_index_sign(K_prime, K):
@@ -673,7 +691,7 @@ def test_tits_differential_sign_matches_sorted_index():
     subsets = list(all_blocksets(1, 6))
     for K_prime in subsets:
         for K in subsets:
-            assert tits_differential_sign(K_prime, K) == sorted_index_sign(K_prime, K)
+            assert _sign(_mask(K_prime.members), _mask(K.members)) == sorted_index_sign(K_prime, K)
 
 
 def test_complex_squares_zero_fails_without_position_parity(monkeypatch):

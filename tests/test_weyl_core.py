@@ -20,7 +20,6 @@ from parastein.weyl_core import (
     left_ascents,
     left_descents,
     length,
-    longest_element,
     multiply,
     parse_perm,
     reduced_word,
@@ -157,27 +156,10 @@ def test_support_does_not_use_reduced_words(monkeypatch):
     assert support((2, 1, 4, 3)) == frozenset({1, 3})
 
 
-def test_longest_element():
-    assert longest_element(4, set()) == identity(4)
-    assert longest_element(4, {1, 2, 3}) == (4, 3, 2, 1)
-    assert longest_element(4, {1, 3}) == (2, 1, 4, 3)
-    w0 = longest_element(5, {1, 2, 4})
-    assert length(w0) == 3 + 1
-    assert support(w0) <= {1, 2, 4}
-
-
 def root_sets(n):
     return [
         frozenset(i for i in range(1, n) if mask >> (i - 1) & 1) for mask in range(1 << (n - 1))
     ]
-
-
-def test_longest_element_is_the_longest_parabolic_element():
-    for n in range(1, 6):
-        for roots in root_sets(n):
-            members = enumerate_parabolic(n, roots)
-            top = max(length(w) for w in members)
-            assert [w for w in members if length(w) == top] == [longest_element(n, roots)]
 
 
 def test_blocks_of_rootset_is_shared_with_cosets():

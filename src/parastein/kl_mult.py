@@ -6,7 +6,10 @@ the standard left-descent recursion with one memo table, the only one
 in the package that outlives a call: it holds the P_{x,w} with x < w
 in Bruhat order and the Bruhat down-sets the recursion walks, and the
 cap, read at each insertion, counts both.  P_{w,w} = 1 and the
-P_{x,w} = 0 with x not below w are answered without the memo.
+P_{x,w} = 0 with x not below w are answered without the memo; most of
+the zeros are decided by four boundary entries of the rank matrix (x(1),
+x(n), x^{-1}(1), x^{-1}(n) against w's), which ``bruhat_leq`` reads
+before its full scan.
 Where a left descent s of w is also one of x, ``_kl`` sums P_{sx,sw},
 q P_{x,sw} and the mu-terms into one list of l(w) // 2 + 1
 coefficients, long enough for every term, and trims it once;

@@ -617,8 +617,8 @@ README_EXAMPLES = _readme_examples()
 
 
 def test_readme_has_examples():
-    assert len(README_EXAMPLES) == 14
-    assert sum(expected is not None for _, expected in README_EXAMPLES) == 2
+    assert len(README_EXAMPLES) == 15
+    assert sum(expected is not None for _, expected in README_EXAMPLES) == 3
     assert {argv[0] for argv, _ in README_EXAMPLES} == set(cli_io.VERBS)
 
 

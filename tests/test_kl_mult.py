@@ -35,6 +35,10 @@ def test_kl_diagonal_and_vanishing():
                 assert kl_poly(x, w) == ()
 
 
+def test_kl_rank_zero():
+    assert kl_poly((), ()) == (1,)
+
+
 def test_kl_anchor_1_plus_q():
     assert kl_poly(identity(4), (3, 4, 1, 2)) == (1, 1)
 

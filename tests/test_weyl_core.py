@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from parastein import cosets, weyl_core
@@ -133,6 +133,36 @@ def test_bruhat_leq_matches_downset_oracle_s6_sample():
         down = bruhat_downset(w)
         for x in group[::7]:
             assert bruhat_leq(x, w) == (x in down)
+
+
+def boundary_entries_hold(x, w):
+    """The four rank-matrix entries that ``bruhat_leq`` reads before its
+    scan: row 1, row n-1, column 2 and column n."""
+    n = len(w)
+    return (
+        x[0] <= w[0]
+        and x[-1] >= w[-1]
+        and x.index(1) <= w.index(1)
+        and x.index(n) >= w.index(n)
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_boundary_entries_are_necessary(n):
+    for w in enumerate_group(n):
+        for x in bruhat_downset(w):
+            assert boundary_entries_hold(x, w), (x, w)
+
+
+def test_boundary_entries_decide_most_zeros_on_s5():
+    group = enumerate_group(5)
+    zeros = [(x, w) for w in group for x in group if not bruhat_leq(x, w)]
+    assert len(zeros) == 10_619
+    assert sum(not boundary_entries_hold(x, w) for x, w in zeros) == 10_043
+
+
+def test_bruhat_leq_rank_zero():
+    assert bruhat_leq((), ())
 
 
 def test_support_examples():

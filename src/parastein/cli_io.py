@@ -206,27 +206,10 @@ def tits_cmd(r: int, k: int, analytic: bool, s_text: str, d_l: int, max_len: int
     return {"mode": "smooth", "ok": ok, "checked": len(factors)}
 
 
-def ext_cmd(
-    kind: str,
-    fixed_center: bool,
-    degree: int,
-    left_text: str,
-    right_text: str,
-    r: int,
-    k: int,
-    d_l: int,
-) -> dict:
-    q = ext_calc.ExtQuery(
-        kind,
-        fixed_center,
-        degree,
-        _parse_rep(left_text, k),
-        _parse_rep(right_text, k),
-        r,
-        k,
-        d_l,
-    )
-    ans = ext_calc.ext_dim(q)
+def ext_cmd(kind: str, fixed_center: bool, degree: int, left_text: str, right_text: str,
+            r: int, k: int, d_l: int) -> dict:
+    left, right = _parse_rep(left_text, k), _parse_rep(right_text, k)
+    ans = ext_calc.ext_dim(ext_calc.ExtQuery(kind, fixed_center, degree, left, right, r, k, d_l))
     if ans.status == "not-determined":
         return {"status": "not-determined", "cite": ans.rule, "note": ans.note}
     return {"dim": ans.value, "cite": ans.rule}
@@ -236,7 +219,7 @@ def selftest_cmd(level: str) -> dict:
     return {"ok": True, "level": level, "checks": run_selftest(level)}
 
 
-class SelftestFailure(AssertionError):
+class SelftestFailure(Exception):
     """A selftest invariant did not hold; ``check`` names it."""
 
     def __init__(self, check: str) -> None:
@@ -421,7 +404,7 @@ def main(argv: list[str] | None = None) -> int:
         doc, code = {"error": str(exc)}, 3
     except SelftestFailure as exc:
         doc, code = {"error": str(exc), "check": exc.check}, 4
-    except (ValueError, AssertionError) as exc:
+    except ValueError as exc:
         doc, code = {"error": str(exc)}, 2
     sys.stdout.write(json.dumps(doc, separators=(",", ":")) + "\n")
     return code

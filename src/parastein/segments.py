@@ -20,6 +20,7 @@ from .weyl_core import (
     Perm,
     _Frozen,
     enumerate_group,
+    identity,
     left_ascents,
 )
 
@@ -40,7 +41,8 @@ class Segment(_Frozen):
 
 def pi_base_twists(r: int, k: int) -> tuple[Fraction, ...]:
     """Twist exponents of the normalized base tensor factor, block i
-    getting -(r/2)(k-2i+1) + (k-i).
+    getting -(r/2)(k-2i+1) + (k-i): the identity term of the Jacquet
+    decomposition.
 
     >>> pi_base_twists(2, 2)
     (Fraction(0, 1), Fraction(1, 1))
@@ -49,9 +51,7 @@ def pi_base_twists(r: int, k: int) -> tuple[Fraction, ...]:
     >>> pi_base_twists(1, 1)
     (Fraction(0, 1),)
     """
-    return tuple(
-        -Fraction(r, 2) * (k - 2 * i + 1) + (k - i) for i in range(1, k + 1)
-    )
+    return jacquet_twists(identity(k), r)
 
 
 def jacquet_twists(w: Perm, r: int) -> tuple[Fraction, ...]:

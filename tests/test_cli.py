@@ -326,11 +326,41 @@ EXT_ARGS = ["--degree", "1", "--left", "i:1", "--right", "i:-", "--r", "2", "--k
         pytest.param(["steinberg-mult", "--r", "2", "--k", "2", "--max", "3"], id="abbrev-max"),
         pytest.param(["cosets", "--n", "4", "--I", "-", "--J", "-", "--matr"], id="abbrev-matr"),
         pytest.param(["weyl", "--n", "4", "--w", "e", "-h"], id="short-help"),
+        pytest.param(
+            ["mult", "--r", "2", "--k", "2", "--dL", "3", "--K", "-", "--w", "[1,2,3,4];[1,2,3,4]"],
+            id="w-component-count",
+        ),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
     code, doc = run(capsys, *argv)
     assert code == 2 and list(doc) == ["error"]
+
+
+@pytest.mark.parametrize(
+    "left, right, message",
+    [
+        ("foo", "i:-", "malformed rep descriptor: 'foo'"),
+        ("i:1", "c:1", "constituent descriptors need the form c:j@sigma"),
+        ("x:1", "i:-", "unknown rep descriptor tag: 'x'"),
+    ],
+    ids=["no-tag", "constituent-no-sigma", "unknown-tag"],
+)
+def test_bad_rep_descriptor_exit_2(capsys, left, right, message):
+    code, doc = run(capsys, "ext-dim", "--kind", "smooth", "--degree", "1", "--r", "1", "--k", "3",
+                    "--left", left, "--right", right)
+    assert code == 2 and doc == {"error": message}
+
+
+def test_assertion_error_is_not_bad_input(monkeypatch):
+    # Exit 2 means bad input, a ValueError; an AssertionError from a
+    # handler is a bug and propagates.
+    def broken(**_):
+        raise AssertionError("broken handler")
+
+    monkeypatch.setitem(cli_io.VERBS, "weyl", (broken, cli_io.VERBS["weyl"][1]))
+    with pytest.raises(AssertionError, match="broken handler"):
+        main(["weyl", "--n", "4", "--w", "e"])
 
 
 @pytest.mark.parametrize(
@@ -654,6 +684,6 @@ def test_smooth_tits_failure_document(capsys, monkeypatch):
     # Unsigned steps do not cancel, so each label with two free blocks or
     # more fails its square check; the document still counts all 8 labels.
     sign = steinberg_mult._sign
-    monkeypatch.setattr(steinberg_mult, "_sign", lambda top, bot: abs(sign(top, bot)))
+    monkeypatch.setattr(steinberg_mult, "_sign", lambda top, bit: abs(sign(top, bit)))
     assert main(["tits-check", "--r", "1", "--k", "4"]) == 0
     assert capsys.readouterr().out == '{"mode":"smooth","ok":false,"checked":8}\n'

@@ -93,7 +93,8 @@ def test_smooth_adjacent_steinberg():
         ans = ext_dim(q("smooth", d, stb(1, 2), stb(2)))
         assert ans.value == (1 if d == 1 else 0)
     # non-adjacent pair: open, never silently zero
-    assert ext_dim(q("smooth", 1, stb(1, 2, 3), stb(1))).status == "not-determined"
+    ans = ext_dim(q("smooth", 1, stb(1, 2, 3), stb(1)))
+    assert ans.status == "not-determined" and ans.value is None
 
 
 def test_levi_self_extensions():

@@ -37,6 +37,8 @@ def test_kl_diagonal_and_vanishing():
 
 def test_kl_rank_zero():
     assert kl_poly((), ()) == (1,)
+    with pytest.raises(ValueError, match="rank mismatch in kl_poly"):
+        kl_poly((), (1,))
 
 
 def test_kl_anchor_1_plus_q():

@@ -79,6 +79,8 @@ def test_pi_I_segments():
     # mixed shape
     segs = pi_I_segments(2, 3, BlockSet(2, 3, frozenset({1})))
     assert [s.block_length for s in segs] == [2, 1]
+    with pytest.raises(ValueError, match="block set shape mismatch"):
+        pi_I_segments(2, 3, BlockSet(1, 3))
 
 
 def test_segment_validation():

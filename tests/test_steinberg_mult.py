@@ -6,8 +6,8 @@ import tracemalloc
 
 import pytest
 
-from parastein import steinberg_mult
-from parastein.cosets import BlockSet
+from parastein import kl_mult, steinberg_mult
+from parastein.cosets import BlockSet, _parabolic_roots
 from parastein.kl_mult import (
     _parabolic_verma_mult,
     kl_poly,
@@ -36,6 +36,7 @@ from parastein.weyl_core import (
     bruhat_leq,
     enumerate_parabolic,
     identity,
+    left_ascents,
     length,
     support,
 )
@@ -97,6 +98,8 @@ def test_precondition_S_subset_J():
     J = BlockSet(1, 3)
     with pytest.raises(ValueError):
         steinberg_multiplicity((identity(3),), J, S)
+    with pytest.raises(ValueError, match="J and S must share the block shape"):
+        _check_preconditions((identity(3),), J, BlockSet(1, 2))
 
 
 def test_precondition_at_least_one_component():
@@ -438,6 +441,31 @@ def test_formula_asks_each_kl_value_once_per_call(monkeypatch, r, k, d_L, route)
         assert asked and len(asked) == len(set(asked))
 
 
+@pytest.mark.parametrize("r, k", [(1, 4), (2, 3), (1, 5)])
+def test_d_L_1_check_asks_kl_only_inside_each_J_top(monkeypatch, r, k):
+    # At d_L = 1 each component is its own w, so both routes need
+    # P_{u,comp} only for u in the parabolic of comp's J_top: the inner
+    # roots, S and the J_top blocks.  Tables built over each component's
+    # whole support would ask for more (see _component_table).
+    asked = []
+
+    def spy(u, comp):
+        asked.append((u, comp))
+        return kl_poly(u, comp)
+
+    monkeypatch.setattr(steinberg_mult, "kl_poly", spy)
+    monkeypatch.setattr(kl_mult, "kl_poly", spy)
+    for S in all_blocksets(r, k):
+        asked.clear()
+        assert analytic_tits_euler_check(S, 1)
+        assert asked
+        s_mask = _mask(S.members)
+        for u, comp in asked:
+            ascents = left_ascents(comp)
+            top = s_mask | sum(1 << (i - 1) for i in range(1, k) if i * r in ascents)
+            assert support(u) <= _parabolic_roots(r, k, top), (S, u, comp)
+
+
 def test_label_bound_stops_the_listing_before_it_is_built():
     # 6^30, 120^4 and 120^3 w: each call must raise at once.  The check
     # walks multisets, but the bound counts every w: (1,5,3) has 1,728,000
@@ -670,48 +698,48 @@ def test_enumerate_constituents_k1():
 
 
 def test_tits_differential_sign():
-    # Blocks {1, 3} to {3} removes block 1, the first of {1, 3}; to {1}
-    # removes block 3, the second.
-    assert _sign(0b101, 0b100) == -1
-    assert _sign(0b101, 0b001) == 1
-    assert _sign(0b001, 0b101) == 0
+    # From blocks {1, 3}, removing block 1 removes the first of them;
+    # removing block 3, the second.
+    assert _sign(0b101, 0b001) == -1
+    assert _sign(0b101, 0b100) == 1
 
 
-def sorted_index_sign(K_prime, K):
+def sorted_index_sign(K_prime, removed):
     """Reference sign rule on block index sets: the 1-based position of
-    the new index in the sorted members of K'."""
-    if not (K.members < K_prime.members and len(K_prime.members - K.members) == 1):
-        return 0
-    new = next(iter(K_prime.members - K.members))
-    position = sorted(K_prime.members).index(new) + 1
+    the removed index in the sorted members of K'."""
+    position = sorted(K_prime.members).index(removed) + 1
     return -1 if position % 2 else 1
 
 
 def test_tits_differential_sign_matches_sorted_index():
-    subsets = list(all_blocksets(1, 6))
-    for K_prime in subsets:
-        for K in subsets:
-            assert _sign(_mask(K_prime.members), _mask(K.members)) == sorted_index_sign(K_prime, K)
+    # Every one-block step of (1,6): each K' and each of its blocks.
+    for K_prime in all_blocksets(1, 6):
+        for b in K_prime.members:
+            sign = _sign(_mask(K_prime.members), 1 << (b - 1))
+            assert sign == sorted_index_sign(K_prime, b)
 
 
 def test_complex_squares_zero_fails_without_position_parity(monkeypatch):
     sign = steinberg_mult._sign
-    monkeypatch.setattr(steinberg_mult, "_sign", lambda top, bot: abs(sign(top, bot)))
+    monkeypatch.setattr(steinberg_mult, "_sign", lambda top, bit: abs(sign(top, bit)))
     assert not check_complex_squares_zero(BlockSet(1, 4))
 
 
 def test_complex_squares_zero_signs_each_step_once(monkeypatch):
-    # One _sign call per (top, free bit of top), not two per pair.
+    # One _sign call per (top, free bit of top), not two per pair, and
+    # each call a step: one free bit that top holds.
     calls = []
     sign = steinberg_mult._sign
     monkeypatch.setattr(
-        steinberg_mult, "_sign", lambda top, bot: calls.append((top, bot)) or sign(top, bot)
+        steinberg_mult, "_sign", lambda top, bit: calls.append((top, bit)) or sign(top, bit)
     )
     for I in all_blocksets(1, 6):
         calls.clear()
         assert check_complex_squares_zero(I)
         f = 5 - len(I.members)
         assert len(calls) == len(set(calls)) == f * 2 ** (f - 1)
+        base = _mask(I.members)
+        assert all(bit & top and bit.bit_count() == 1 and not bit & base for top, bit in calls)
 
 
 def test_complex_squares_zero_fails_on_one_wrong_sign(monkeypatch):
@@ -721,7 +749,7 @@ def test_complex_squares_zero_fails_on_one_wrong_sign(monkeypatch):
     steps = []
     with monkeypatch.context() as m:
         m.setattr(
-            steinberg_mult, "_sign", lambda top, bot: steps.append((top, bot)) or sign(top, bot)
+            steinberg_mult, "_sign", lambda top, bit: steps.append((top, bit)) or sign(top, bit)
         )
         assert check_complex_squares_zero(BlockSet(1, 5))
     assert len(set(steps)) == 32
@@ -730,14 +758,14 @@ def test_complex_squares_zero_fails_on_one_wrong_sign(monkeypatch):
             m.setattr(
                 steinberg_mult,
                 "_sign",
-                lambda top, bot: -sign(top, bot) if (top, bot) == step else sign(top, bot),
+                lambda top, bit: -sign(top, bit) if (top, bit) == step else sign(top, bit),
             )
             assert not check_complex_squares_zero(BlockSet(1, 5)), step
 
 
 @pytest.mark.parametrize(
     "zero_step",
-    [lambda top, bot: True, lambda top, bot: top == 0b1111 and bot == 0b0111],
+    [lambda top, bit: True, lambda top, bit: top == 0b1111 and bit == 0b1000],
     ids=["every-step", "one-step"],
 )
 def test_complex_squares_zero_fails_on_a_zero_step(monkeypatch, zero_step):
@@ -745,7 +773,7 @@ def test_complex_squares_zero_fails_on_a_zero_step(monkeypatch, zero_step):
     # trivially; a one-block step must have sign +1 or -1.
     sign = steinberg_mult._sign
     monkeypatch.setattr(
-        steinberg_mult, "_sign", lambda top, bot: 0 if zero_step(top, bot) else sign(top, bot)
+        steinberg_mult, "_sign", lambda top, bit: 0 if zero_step(top, bit) else sign(top, bit)
     )
     assert not check_complex_squares_zero(BlockSet(1, 5))
 

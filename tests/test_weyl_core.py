@@ -239,6 +239,23 @@ def test_parse_format_roundtrip():
         parse_perm("s1*s2")
 
 
+@pytest.mark.parametrize(
+    "func, args, message",
+    [
+        (simple_reflection, (4, 4), "index 4 out of range for rank 4"),
+        (multiply, ((1, 2), (1, 2, 3)), "rank mismatch in multiply"),
+        (bruhat_leq, ((1, 2), (1, 2, 3)), "rank mismatch in bruhat_leq"),
+        (parse_perm, ("[1,2",), "malformed one-line permutation"),
+        (parse_perm, ("[1,2,3]", 4), "rank mismatch: expected 4, got 3"),
+        (parse_perm, ("t1", 3), "malformed word token"),
+    ],
+    ids=["s4-rank4", "multiply", "bruhat-leq", "unclosed", "parse-rank", "word-token"],
+)
+def test_bad_input_raises(func, args, message):
+    with pytest.raises(ValueError, match=message):
+        func(*args)
+
+
 def filtered_parabolic(n, roots):
     """Reference: the elements of S_n that permute each contiguous block
     of positions cut at the simple roots outside ``roots``."""

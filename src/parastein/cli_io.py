@@ -206,10 +206,27 @@ def tits_cmd(r: int, k: int, analytic: bool, s_text: str, d_l: int, max_len: int
     return {"mode": "smooth", "ok": ok, "checked": len(factors)}
 
 
-def ext_cmd(kind: str, fixed_center: bool, degree: int, left_text: str, right_text: str,
-            r: int, k: int, d_l: int) -> dict:
-    left, right = _parse_rep(left_text, k), _parse_rep(right_text, k)
-    ans = ext_calc.ext_dim(ext_calc.ExtQuery(kind, fixed_center, degree, left, right, r, k, d_l))
+def ext_cmd(
+    kind: str,
+    fixed_center: bool,
+    degree: int,
+    left_text: str,
+    right_text: str,
+    r: int,
+    k: int,
+    d_l: int,
+) -> dict:
+    q = ext_calc.ExtQuery(
+        kind,
+        fixed_center,
+        degree,
+        _parse_rep(left_text, k),
+        _parse_rep(right_text, k),
+        r,
+        k,
+        d_l,
+    )
+    ans = ext_calc.ext_dim(q)
     if ans.status == "not-determined":
         return {"status": "not-determined", "cite": ans.rule, "note": ans.note}
     return {"dim": ans.value, "cite": ans.rule}

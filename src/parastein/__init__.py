@@ -12,15 +12,13 @@ from .cosets import (
     parse_blockset,
 )
 from .ext_calc import ExtAnswer, ExtQuery, RepDescriptor, char_group_dim, consistency_check_thm_main, ext_dim
-from .kl_mult import kl_poly, parabolic_verma_mult, verma_mult
+from .kl_mult import kl_poly, parabolic_verma_mult
 from .segments import (
     Segment,
     jacquet_decomposition,
     jh_factors,
-    orientation_of,
     pi_I_segments,
     pi_base_twists,
-    theta_fiber,
 )
 from .steinberg_mult import (
     ConstituentLabel,

@@ -14,8 +14,9 @@ from .weyl_core import (
     _Frozen,
     blocks_of_rootset,
     enumerate_group,
-    inverse,
+    left_descents,
     length,
+    right_descents,
 )
 
 
@@ -116,18 +117,15 @@ def format_blockset(bs: BlockSet) -> str:
 
 def is_min_rep(w: Perm, I_roots: frozenset[int] | set[int], J_roots: frozenset[int] | set[int]) -> bool:
     """True iff w is the minimal-length element of its (W_I, W_J) double
-    coset: w maps the J-roots to positive roots and w^{-1} maps the
-    I-roots to positive roots.
+    coset: no J-root is a right descent of w and no I-root a left
+    descent.
 
     >>> is_min_rep((1, 2, 3, 4), {1, 3}, {1, 3})
     True
     >>> is_min_rep((2, 1, 3, 4), {1}, set())
     False
     """
-    winv = inverse(w)
-    return all(w[j - 1] < w[j] for j in J_roots) and all(
-        winv[i - 1] < winv[i] for i in I_roots
-    )
+    return not (right_descents(w) & J_roots or left_descents(w) & I_roots)
 
 
 def min_double_coset_reps(

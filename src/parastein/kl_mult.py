@@ -13,7 +13,6 @@ before its full scan.
 Where a left descent s of w is also one of x, ``_kl`` sums P_{sx,sw},
 q P_{x,sw} and the mu-terms into one list of l(w) // 2 + 1
 coefficients, long enough for every term, and trims it once;
-``verma_mult`` evaluates at q = 1 and multiplies over embeddings;
 ``parabolic_verma_mult`` applies the alternating character formula over
 a parabolic subgroup, skipping the u whose length rules out u <= comp.
 """
@@ -153,7 +152,9 @@ def _kl(x: Perm, w: Perm) -> Poly:
 
 def kl_mu(z: Perm, v: Perm) -> int:
     """Coefficient of q^{(l(v)-l(z)-1)/2} in P_{z,v} (zero when the
-    degree difference is even or z is not strictly below v).
+    degree difference is even or z is not strictly below v).  ``_kl``
+    reads mu inline; the W-graph test and the benchmark tracer are this
+    function's callers.
 
     >>> kl_mu((1, 2, 3), (2, 1, 3))
     1
@@ -166,30 +167,6 @@ def kl_mu(z: Perm, v: Perm) -> int:
     p = _kl(z, v)
     target = (d - 1) // 2
     return p[target] if target < len(p) else 0
-
-
-def verma_mult(wprime: MultiWeyl, w: MultiWeyl) -> int:
-    """Multiplicity of the simple module labelled by wprime inside the
-    Verma-type module labelled by w: the product over embeddings of
-    P_{wprime, w}(1); nonzero iff wprime <= w componentwise.
-
-    >>> verma_mult(((1, 2, 3, 4),), ((3, 4, 1, 2),))
-    2
-    >>> verma_mult(((3, 4, 1, 2),), ((3, 4, 1, 2),))
-    1
-    >>> verma_mult(((2, 1),), ((1, 2),))
-    0
-    """
-    if not w:
-        raise ValueError("d_L must be at least 1, got 0")
-    if len(wprime) != len(w):
-        raise ValueError("shape mismatch in verma_mult")
-    out = 1
-    for a, b in zip(wprime, w):
-        out *= poly_eval_one(kl_poly(a, b))
-        if out == 0:
-            return 0
-    return out
 
 
 def _check_ranks(w: MultiWeyl, n: int) -> None:

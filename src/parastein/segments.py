@@ -4,8 +4,8 @@ The inducing cuspidal is an opaque symbol; everything computable about
 the representations used downstream is a block shape plus an exact
 rational twist exponent per block.  This module produces the base twist
 tuple, its full Weyl-orbit (Jacquet) decomposition, per-Levi-block
-segment data, edge orientations attached to Weyl elements, and the
-2^{k-1} labels of the Jordan-Holder factors of the full induction.
+segment data, and the 2^{k-1} labels of the Jordan-Holder factors of
+the full induction.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .weyl_core import (
     _Frozen,
     enumerate_group,
     identity,
-    left_ascents,
 )
 
 
@@ -104,31 +103,6 @@ def pi_I_segments(r: int, k: int, I: BlockSet) -> list[Segment]:
         out.append(Segment(k_i, twist))
         s_prev = s_i
     return out
-
-
-def orientation_of(w: Perm) -> tuple[bool, ...]:
-    """Edge orientations attached to w: edge i points right iff
-    w(i) < w(i+1).
-
-    >>> orientation_of((1, 2, 3))
-    (True, True)
-    >>> orientation_of((3, 1, 2))
-    (False, True)
-    """
-    k = len(w)
-    return tuple(w[i - 1] < w[i] for i in range(1, k))
-
-
-def theta_fiber(I: BlockSet) -> list[Perm]:
-    """All w in S_k whose left-ascent set {i : w^{-1}(i) < w^{-1}(i+1)}
-    equals the members of I; the fibers over all I partition S_k.
-
-    >>> theta_fiber(BlockSet(1, 2))
-    [(2, 1)]
-    >>> theta_fiber(BlockSet(1, 2, frozenset({1})))
-    [(1, 2)]
-    """
-    return [w for w in enumerate_group(I.k) if left_ascents(w) == I.members]
 
 
 def jh_factors(r: int, k: int) -> list[BlockSet]:

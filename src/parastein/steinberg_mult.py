@@ -40,7 +40,8 @@ The smooth Euler check is the same transform on a signed indicator, and
 three list masks in cube order (``_cube``), where flipping a block flips
 one bit of the list index, so the transform is list arithmetic.
 ``GrothVector``, a finitely supported integer-valued function on opaque
-labels, is kept for callers; no check uses it.
+labels, is used by no check.  It stays only while ``perfbench/tracing.py``
+names ``GrothVector.add`` (ROADMAP items 1 and 11).
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from operator import itemgetter, mul
 from .cosets import BlockSet, _mask, _members, _parabolic_roots
 from .kl_mult import _check_ranks, _parabolic_verma_mult, kl_poly, poly_eval_one
 from .weyl_core import (
+    DEFAULT_ENUM_BOUND,
     BoundExceededError,
     MultiWeyl,
     Perm,
@@ -537,13 +539,16 @@ def smooth_tits_euler_check(I: BlockSet) -> bool:
 
     In ``_cube`` order |K minus I| is the bit count of K's index, so the
     indicator is [1] doubled once per free block, each new half negated,
-    and its transform must be [1, 0, ..., 0].
+    and its transform must be [1, 0, ..., 0].  It has 2^(k-1-|I|)
+    entries, so k is held to the enumeration bound, as in ``jh_factors``.
 
     >>> smooth_tits_euler_check(BlockSet(2, 2))
     True
     >>> smooth_tits_euler_check(BlockSet(1, 4, frozenset({2})))
     True
     """
+    if I.k > DEFAULT_ENUM_BOUND:
+        raise BoundExceededError(f"k = {I.k} exceeds enumeration bound {DEFAULT_ENUM_BOUND}")
     signs = [1]
     for _ in range(I.k - 1 - len(I.members)):
         signs += [-sign for sign in signs]
@@ -559,11 +564,14 @@ def check_complex_squares_zero(I: BlockSet) -> bool:
     hold it (a ``_cube`` over the other free blocks), so each of the
     f * 2^(f - 1) steps is signed once, by ``_sign(top, bit)``, and no
     top is visited for a block it lacks.  The squares are then checked
-    a pair of free blocks at a time, by int bitset operations.
+    a pair of free blocks at a time, by int bitset operations.  The
+    bitsets span 2^(k-1) tops, so k is held to the enumeration bound.
 
     >>> check_complex_squares_zero(BlockSet(1, 5))
     True
     """
+    if I.k > DEFAULT_ENUM_BOUND:
+        raise BoundExceededError(f"k = {I.k} exceeds enumeration bound {DEFAULT_ENUM_BOUND}")
     universe = (1 << (I.k - 1)) - 1
     base = _mask(I.members)
     free = [1 << b for b in range(I.k - 1) if not base >> b & 1]

@@ -606,7 +606,7 @@ def test_cli_imports_every_module_and_not_click():
     # (which imports inspect) would cost every CLI process about 12 ms.
     # The package is exactly these eight modules: the dot-action oracle
     # lives in tests/weights_oracle.py, and the package exports none of it,
-    # nor any of the six functions that nothing in the program called.
+    # nor any of the nine functions that nothing in the program called.
     src = os.path.dirname(os.path.dirname(cli_io.__file__))
     code = (
         "import parastein.cli_io, sys; "
@@ -618,7 +618,8 @@ def test_cli_imports_every_module_and_not_click():
         "assert loaded == expected, sorted(loaded ^ expected); "
         "gone = ('dominance_set', 'dot_action', 'is_I_dominant', 'zero_weight', "
         "'block_embed', 'block_restrict', 'is_in_W_IJ', 'longest_element', "
-        "'tits_differential_sign', 'format_orientation'); "
+        "'tits_differential_sign', 'format_orientation', "
+        "'verma_mult', 'theta_fiber', 'orientation_of'); "
         "exported = [n for n in gone if hasattr(sys.modules['parastein'], n)]; "
         "assert not exported, exported"
     )

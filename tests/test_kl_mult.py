@@ -11,8 +11,6 @@ from parastein.kl_mult import (
     kl_mu,
     kl_poly,
     parabolic_verma_mult,
-    poly_eval_one,
-    verma_mult,
 )
 from parastein.weyl_core import (
     BoundExceededError,
@@ -197,28 +195,6 @@ def test_w_graph_check_fails_on_one_raised_mu():
     for x, y in random.Random(0).sample(candidates, 3):
         raised = lambda a, b, x=x, y=y: kl_mu(a, b) + ((a, b) == (x, y))
         assert not w_graph_relations_hold(5, raised), (x, y)
-
-
-def test_verma_mult():
-    assert verma_mult(((3, 4, 1, 2),), ((3, 4, 1, 2),)) == 1
-    assert verma_mult((identity(4),), ((3, 4, 1, 2),)) == 2
-    assert verma_mult(((2, 1),), ((1, 2),)) == 0
-    # multi-component product
-    assert verma_mult(
-        (identity(4), identity(4)), ((3, 4, 1, 2), (3, 4, 1, 2))
-    ) == 4
-    with pytest.raises(ValueError):
-        verma_mult((identity(3),), (identity(3), identity(3)))
-    # An empty w is bad input, as in parabolic_verma_mult and the CLI.
-    with pytest.raises(ValueError, match="d_L must be at least 1, got 0"):
-        verma_mult((), ())
-
-
-def test_verma_mult_support_condition():
-    group = enumerate_group(4)
-    for x in group[::3]:
-        for w in group[::3]:
-            assert (verma_mult((x,), (w,)) > 0) == bruhat_leq(x, w)
 
 
 def test_parabolic_verma_constituents_anchor():

@@ -9,25 +9,15 @@ from parastein.segments import (
     jacquet_decomposition,
     jacquet_twists,
     jh_factors,
-    orientation_of,
     pi_I_segments,
     pi_base_twists,
-    theta_fiber,
 )
+from parastein.steinberg_mult import check_complex_squares_zero, smooth_tits_euler_check
 from parastein.weyl_core import (
     DEFAULT_ENUM_BOUND,
     BoundExceededError,
-    enumerate_group,
-    enumerate_parabolic,
     identity,
-    inverse,
-    length,
 )
-
-
-def all_blocksets(r, k):
-    for mask in range(1 << (k - 1)):
-        yield BlockSet(r, k, frozenset(i + 1 for i in range(k - 1) if mask >> i & 1))
 
 
 def closed_base_twists(r, k):
@@ -96,27 +86,6 @@ def test_segment_validation():
         Segment(1, Fraction(1, 3))
 
 
-def test_orientation():
-    assert orientation_of(identity(3)) == (True, True)
-    assert orientation_of((3, 1, 2)) == (False, True)
-
-
-def test_theta_fibers_partition():
-    for k in range(2, 6):
-        seen = []
-        for I in all_blocksets(1, k):
-            fiber = theta_fiber(I)
-            # each fiber contains the longest element of the parabolic on
-            # the complementary blocks
-            w_long = max(enumerate_parabolic(k, frozenset(range(1, k)) - I.members), key=length)
-            assert w_long in fiber
-            for w in fiber:
-                winv = inverse(w)
-                assert {i for i in range(1, k) if winv[i - 1] < winv[i]} == I.members
-            seen.extend(fiber)
-        assert sorted(seen) == sorted(enumerate_group(k))
-
-
 def test_jh_factor_counts():
     for r, k in [(1, 2), (2, 2), (1, 4), (3, 2), (2, 3), (1, 6)]:
         factors = jh_factors(r, k)
@@ -150,7 +119,13 @@ def test_jh_factors_reject_empty_shapes():
 
 def test_jh_factors_bounded_before_enumerating():
     assert len(jh_factors(1, DEFAULT_ENUM_BOUND)) == 2 ** (DEFAULT_ENUM_BOUND - 1)
-    # k = 40 would mean 2^39 labels: the bound must stop it before any is built.
+    # k = 40 would mean 2^39 labels: the bound must stop jh_factors, and the
+    # two smooth Tits checks that span the labels, before any is built.
     for k in (DEFAULT_ENUM_BOUND + 1, 40):
-        with pytest.raises(BoundExceededError, match="enumeration bound"):
-            jh_factors(1, k)
+        for spans_labels in (
+            lambda: jh_factors(1, k),
+            lambda: smooth_tits_euler_check(BlockSet(1, k)),
+            lambda: check_complex_squares_zero(BlockSet(1, k)),
+        ):
+            with pytest.raises(BoundExceededError, match=f"k = {k} exceeds enumeration bound"):
+                spans_labels()

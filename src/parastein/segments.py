@@ -6,12 +6,15 @@ rational twist exponent per block.  This module produces the base twist
 tuple, its full Weyl-orbit (Jacquet) decomposition, per-Levi-block
 segment data, and the 2^{k-1} labels of the Jordan-Holder factors of
 the full induction.
+
+``Fraction`` is imported inside the two functions that build one, so
+that a CLI process whose verb builds none does not load ``fractions``
+(and ``decimal`` under it); the annotations stay unevaluated strings.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .cosets import BlockSet
 from .weyl_core import (
@@ -50,6 +53,8 @@ def pi_base_twists(r: int, k: int) -> tuple[Fraction, ...]:
     >>> pi_base_twists(1, 1)
     (Fraction(0, 1),)
     """
+    if r < 1 or k < 1:
+        raise ValueError("r and k must be positive")
     return jacquet_twists(identity(k), r)
 
 
@@ -62,6 +67,8 @@ def jacquet_twists(w: Perm, r: int) -> tuple[Fraction, ...]:
     >>> jacquet_twists((2, 1), 2)
     (Fraction(-1, 1), Fraction(2, 1))
     """
+    from fractions import Fraction
+
     k = len(w)
     return tuple(
         (w[k - i] - 1) - Fraction(r, 2) * (k - 2 * i + 1) for i in range(1, k + 1)
@@ -92,6 +99,8 @@ def pi_I_segments(r: int, k: int, I: BlockSet) -> list[Segment]:
     >>> pi_I_segments(1, 2, BlockSet(1, 2, frozenset({1})))
     [Segment(block_length=2, twist=Fraction(0, 1))]
     """
+    from fractions import Fraction
+
     if I.r != r or I.k != k:
         raise ValueError("block set shape mismatch")
     parts = I.partition()

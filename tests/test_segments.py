@@ -31,6 +31,15 @@ def test_base_twists_examples():
     assert pi_base_twists(1, 1) == (Fraction(0),)
 
 
+def test_base_twists_reject_nonpositive_shapes():
+    # pi_base_twists is the identity term of jacquet_decomposition, so
+    # both reject the same shapes.
+    for r, k in ((0, 2), (-1, 2), (1, 0), (1, -1)):
+        for fn in (pi_base_twists, jacquet_decomposition):
+            with pytest.raises(ValueError, match="r and k must be positive"):
+                fn(r, k)
+
+
 def test_base_twists_centrality():
     # the normalizing half-density part sums to zero against block degrees
     for r in (1, 2, 3):

@@ -42,7 +42,7 @@ import gc
 import json
 import sys
 
-from . import ext_calc, kl_mult, segments, steinberg_mult
+from . import SelftestFailure, ext_calc, kl_mult, segments, steinberg_mult
 from .cosets import (
     coset_matrix,
     double_coset_count_oracle,
@@ -235,14 +235,6 @@ def ext_cmd(
 
 def selftest_cmd(level: str) -> dict:
     return {"ok": True, "level": level, "checks": run_selftest(level)}
-
-
-class SelftestFailure(Exception):
-    """A selftest invariant did not hold; ``check`` names it."""
-
-    def __init__(self, check: str) -> None:
-        super().__init__(f"selftest failure: {check}")
-        self.check = check
 
 
 def run_selftest(level: str) -> int:

@@ -1,14 +1,14 @@
 """The ``selftest`` verb's cross-module invariant sweep.
 
 ``cli_io`` imports this module only when the verb runs, so that no other
-CLI call compiles it.  A failed check raises ``cli_io.SelftestFailure``,
-which ``cli_io.main`` catches without loading this module.
+CLI call compiles it.  A failed check raises the package's
+``SelftestFailure``, which ``cli_io.main`` catches; this module never
+imports ``cli_io``.
 """
 
 from __future__ import annotations
 
-from . import ext_calc, kl_mult, segments, steinberg_mult
-from .cli_io import SelftestFailure
+from . import SelftestFailure, ext_calc, kl_mult, segments, steinberg_mult
 from .cosets import BlockSet, double_coset_count_oracle, min_double_coset_reps, modulus_exponents
 from .weyl_core import bruhat_leq, enumerate_group, length
 

@@ -296,6 +296,23 @@ def test_selftest_failure_exit_4(capsys, monkeypatch):
     assert "longest length" in doc["error"]
 
 
+def test_selftest_failure_exit_4_as_main():
+    # python -m parastein.cli_io runs cli_io as __main__; the failure that
+    # the lazily loaded selftest module raises must still reach main's
+    # handler, as one document and exit 4 rather than a traceback.
+    src = os.path.dirname(os.path.dirname(cli_io.__file__))
+    code = (
+        "import runpy, sys; import parastein.selftest as st; "
+        "st.length = lambda w: -1; "
+        "sys.argv = ['parastein.cli_io', 'selftest', '--level', 'quick']; "
+        "runpy.run_module('parastein.cli_io', run_name='__main__', alter_sys=True)"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == '{"error":"selftest failure: longest length","check":"longest length"}\n'
+
+
 def test_determinism(capsys):
     def once():
         main(["steinberg-mult", "--r", "2", "--k", "2", "--dL", "1", "--S", "-", "--J", "-"])

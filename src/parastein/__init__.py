@@ -48,17 +48,3 @@ from .weyl_core import (
 )
 
 __version__ = "0.1.0"
-
-
-class SelftestFailure(Exception):
-    """A selftest invariant did not hold; ``check`` names it.
-
-    ``parastein.selftest`` raises it and ``cli_io.main`` catches it.  It
-    lives here rather than in ``cli_io`` because under ``python -m
-    parastein.cli_io`` an import of ``parastein.cli_io`` would load a
-    second copy of that module, whose class ``main`` does not catch.
-    """
-
-    def __init__(self, check: str) -> None:
-        super().__init__(f"selftest failure: {check}")
-        self.check = check

@@ -28,11 +28,6 @@ collector once the document is written.  The shutdown collections then
 skip the module graph, which the OS reclaims with the process, instead of
 freeing it object by object.  ``main()`` returns its code and leaves the
 collector alone, because tests and benchmarks call it in process.
-
-The six computing modules are imported eagerly, because
-``perfbench/tracing.py`` finds them in ``sys.modules`` after importing
-this one; the selftest sweep (``parastein.selftest``) is imported only
-when the ``selftest`` verb runs, since no other verb uses it.
 """
 
 from __future__ import annotations
@@ -42,17 +37,21 @@ import gc
 import json
 import sys
 
-from . import SelftestFailure, ext_calc, kl_mult, segments, steinberg_mult
+from . import ext_calc, kl_mult, segments, steinberg_mult
 from .cosets import (
+    BlockSet,
     coset_matrix,
     double_coset_count_oracle,
     format_blockset,
     min_double_coset_reps,
+    modulus_exponents,
     parse_blockset,
 )
 from .weyl_core import (
     BoundExceededError,
     MultiWeyl,
+    bruhat_leq,
+    enumerate_group,
     format_perm,
     format_word,
     left_ascents,
@@ -237,13 +236,102 @@ def selftest_cmd(level: str) -> dict:
     return {"ok": True, "level": level, "checks": run_selftest(level)}
 
 
-def run_selftest(level: str) -> int:
-    """``selftest.run_selftest(level)``, loaded on first use.  It stays
-    under this name while ``perfbench/workloads.py`` (``SelftestFull``)
-    calls it here."""
-    from .selftest import run_selftest
+class SelftestFailure(Exception):
+    """A selftest invariant did not hold; ``check`` names it."""
 
-    return run_selftest(level)
+    def __init__(self, check: str) -> None:
+        super().__init__(f"selftest failure: {check}")
+        self.check = check
+
+
+def run_selftest(level: str) -> int:
+    """Run the cross-module invariant suites; raises ``SelftestFailure``
+    on the first failed check and returns the number of checks
+    performed."""
+    n_max = 5 if level == "quick" else 7
+    k_max = 4 if level == "quick" else 5
+    checks = 0
+
+    def require(cond: bool, msg: str) -> None:
+        nonlocal checks
+        checks += 1
+        if not cond:
+            raise SelftestFailure(msg)
+
+    # Bruhat partial order sanity and coset counts.
+    for n in range(1, n_max + 1):
+        group = enumerate_group(n)
+        w0 = group[-1]
+        require(length(w0) == n * (n - 1) // 2, "longest length")
+        for w in group:
+            require(bruhat_leq(group[0], w) and bruhat_leq(w, w0), "order extremes")
+    for n in range(2, min(n_max, 5) + 1):
+        roots = list(range(1, n))
+        for i_mask in range(1 << len(roots)):
+            I = frozenset(roots[t] for t in range(len(roots)) if i_mask >> t & 1)
+            got = len(min_double_coset_reps(n, I, I))
+            require(got == double_coset_count_oracle(n, I, I), "coset count oracle")
+
+    # Modulus exponents pair to zero against block sizes.
+    for k in range(1, k_max + 1):
+        for r in (1, 2):
+            for I in segments.jh_factors(r, k):
+                exps = modulus_exponents(I)
+                parts = I.partition()
+                require(
+                    sum(a * p for a, p in zip(exps, parts)) == 0, "modulus pairing"
+                )
+                segs = segments.pi_I_segments(r, k, I)
+                require(
+                    [s.block_length for s in segs] == list(parts), "segment shapes"
+                )
+
+    # Segment twists: base tuple centrality and Jacquet distinctness.
+    for k in range(1, k_max + 1):
+        for r in (1, 2, 3):
+            base = segments.pi_base_twists(r, k)
+            require(
+                sum((b - (k - i)) * r for i, b in enumerate(base, start=1)) == 0,
+                "twist centrality",
+            )
+            tuples = [t for _, t in segments.jacquet_decomposition(r, k)]
+            require(len(set(tuples)) == len(tuples), "jacquet distinctness")
+
+    # KL suite on a small group.
+    n = 4 if level == "quick" else 5
+    group = enumerate_group(n)
+    for x in group:
+        for w in group:
+            p = kl_mult.kl_poly(x, w)
+            if not bruhat_leq(x, w):
+                require(p == (), "vanishing off the order")
+            else:
+                require(p[0] == 1, "constant term")
+                require(
+                    x == w or 2 * (len(p) - 1) <= length(w) - length(x) - 1,
+                    "degree bound",
+                )
+    checks += 1
+
+    # Steinberg formula against its oracle.
+    envelope = [(1, 3, 1), (2, 2, 1)] if level == "quick" else [(1, 3, 1), (2, 2, 1), (2, 2, 2)]
+    for r, k, d_l in envelope:
+        require(
+            steinberg_mult.analytic_tits_euler_check(BlockSet(r, k), d_l),
+            "formula-oracle agreement",
+        )
+        for I in segments.jh_factors(r, k):
+            require(steinberg_mult.smooth_tits_euler_check(I), "smooth Euler check")
+
+    # Ext table coherence.
+    for r, k, d_l in [(2, 2, 1), (1, 3, 2), (1, 4, 3)]:
+        require(ext_calc.consistency_check_thm_main(r, k, d_l), "ext consistency")
+        st = ext_calc.RepDescriptor("steinberg", frozenset({1}))
+        ans = ext_calc.ext_dim(
+            ext_calc.ExtQuery("analytic", False, 1, st, ext_calc.RepDescriptor("st-an"), r, k, d_l)
+        )
+        require(ans.value == d_l + 1, "headline degree-1 dimension")
+    return checks
 
 
 # One row per option: (names, dest, type, default).  A default of ...

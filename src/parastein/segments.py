@@ -7,9 +7,8 @@ tuple, its full Weyl-orbit (Jacquet) decomposition, per-Levi-block
 segment data, and the 2^{k-1} labels of the Jordan-Holder factors of
 the full induction.
 
-``Fraction`` is imported inside the two functions that build one, so
-that a CLI process whose verb builds none does not load ``fractions``
-(and ``decimal`` under it); the annotations stay unevaluated strings.
+``Fraction`` is imported where a twist is built, so only the CLI verbs
+that build one load ``fractions``.
 """
 
 from __future__ import annotations

@@ -1,11 +1,16 @@
 """Deterministic JSON command-line front end, ``parastein <verb> [options]``.
 
-The parser is the standard library's ``argparse``, built from the option
-rows of ``VERBS``: only the subparser of the verb in the first argument,
-or every subparser when the first argument names no verb.  Options are
-never abbreviated, ``--opt=value`` works, a repeated option's last value
-wins, and only ``--help`` prints help (plain text, exit 0).  Otherwise a
-call prints exactly one JSON document, on one line of standard output.
+``parse_args`` reads the arguments against the option rows of ``VERBS``;
+no parser object is built.  The verb comes first.  Option names match
+exactly, never abbreviated; ``--opt value`` and ``--opt=value`` both
+work, and a repeated option's last value wins.  Each ``bool`` row is an
+on/off flag pair that takes no value.  A token that starts with "-" is
+an option's value only if it is "-", a negative number or contains a
+space, so ``--S -`` and ``--dL -3`` are values and ``--w --n 4`` leaves
+``--w`` without one.  A usage error's message is the one argparse gives
+(CPython 3.11).  Only ``--help`` prints help: one plain-text usage line
+that names every option of the verb, exit 0.  Otherwise a call prints
+exactly one JSON document, on one line of standard output.
 Each handler in ``VERBS`` returns its document as a dict and writes
 nothing; ``main()`` writes the one line, the handler's document or the
 {"error": ...} document of a failure, from a single write.  Exit codes:
@@ -32,9 +37,9 @@ collector alone, because tests and benchmarks call it in process.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
+import re
 import sys
 
 from . import ext_calc, kl_mult, segments, steinberg_mult
@@ -367,63 +372,136 @@ VERBS = {
 }
 
 
-class _Help(Exception):
-    """``--help`` has printed the usage; the call exits 0."""
+def _option(token: str, names) -> tuple[str, str | None] | None:
+    """Read ``token`` against the option strings ``names`` as argparse
+    does: None for a value, else the option (known or not) and the text
+    after its "=" (None without one).  A token that starts with "-" is
+    a value only if it is "-", a negative number or contains a space."""
+    if token in names:
+        return token, None
+    if token[:1] != "-" or token == "-":
+        return None
+    name, eq, value = token.partition("=")
+    if eq and name in names:
+        return name, value
+    if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
+        return None
+    return token, None
 
 
-class _Parser(argparse.ArgumentParser):
-    """Raises instead of printing to stderr and exiting: ValueError
-    (exit 2) on a usage error, ``_Help`` after ``--help``."""
-
-    def error(self, message: str):
-        raise ValueError(message)
-
-    def exit(self, status: int = 0, message: str | None = None):
-        raise _Help
+def _no_value(name: str, value: str | None) -> None:
+    if value is not None:
+        raise ValueError(f"argument {name}: ignored explicit argument {value!r}")
 
 
-def _parser(argv: list[str]) -> _Parser:
-    """The parser for ``argv``: with the subparser of the verb
-    ``argv[0]`` alone, or with every subparser when ``argv[0]`` names no
-    verb (no arguments, an unknown verb, or a top-level ``--help``), so
-    that those messages list every verb."""
-    top = _Parser(prog="parastein", allow_abbrev=False, add_help=False)
-    top.add_argument("--help", action="help")
-    verbs = top.add_subparsers(dest="verb", required=True)
-    wanted = argv[:1] if argv and argv[0] in VERBS else VERBS
-    for verb in wanted:
-        sub = verbs.add_parser(verb, allow_abbrev=False, add_help=False)
-        sub.add_argument("--help", action="help")
-        for names, dest, kind, default in VERBS[verb][1]:
-            if kind is bool:
-                sub.add_argument(names[0], dest=dest, action="store_true")
-                sub.add_argument(names[1], dest=dest, action="store_false", default=False)
-                continue
-            choices = kind if isinstance(kind, tuple) else None
-            sub.add_argument(*names, dest=dest, type=str if choices else kind, choices=choices,
-                             default=default, required=default is ...)
-    return top
+def _choice(name: str, value: str, choices) -> None:
+    if value not in choices:
+        listed = ", ".join(map(repr, choices))
+        raise ValueError(f"argument {name}: invalid choice: {value!r} (choose from {listed})")
+
+
+def _usage(verb: str | None) -> str:
+    """The ``--help`` text: one usage line naming every verb, or every
+    option string of ``verb``."""
+    if verb is None:
+        return "usage: parastein [--help] {" + ",".join(VERBS) + "} ...\n"
+    words = [f"usage: parastein {verb} [--help]"]
+    for names, dest, kind, default in VERBS[verb][1]:
+        value = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else dest.upper()
+        word = " | ".join(names) if kind is bool else "/".join(names) + " " + value
+        words.append(word if default is ... else f"[{word}]")
+    return " ".join(words) + "\n"
+
+
+def parse_args(argv: list[str]) -> dict | str:
+    """``argv`` read by the grammar of the module docstring: the verb
+    under "verb" and each option row's value under its dest, or the
+    ``--help`` text.  A usage error raises ValueError with the message
+    that argparse gives.  The text after an "=" is the value as written,
+    "--" included, where argparse dropped a "--" and left no value."""
+    extras: list[str] = []
+    for i, token in enumerate(argv):
+        option = _option(token, ("--help",))
+        # A "--" with anything after it is read as the verb.
+        if option is None or token == "--" and i + 1 < len(argv):
+            break
+        if option[0] == "--help":
+            _no_value(*option)
+            return _usage(None)
+        extras.append(token)
+    else:
+        raise ValueError("the following arguments are required: verb")
+    verb, rest = argv[i], argv[i + 1:]
+    _choice("verb", verb, VERBS)
+    rows = {"--help": None}
+    args = {"verb": verb}
+    for row in VERBS[verb][1]:
+        rows.update(dict.fromkeys(row[0], row))
+        args[row[1]] = row[3]
+    j = 0
+    while j < len(rest):
+        token = rest[j]
+        j += 1
+        if token == "--":  # everything from here on is left over
+            extras += rest[j - 1:]
+            break
+        option = _option(token, rows)
+        if option is None or option[0] not in rows:
+            extras.append(token)
+            continue
+        name, value = option
+        if rows[name] is None:
+            _no_value(name, value)
+            return _usage(verb)
+        names, dest, kind, _ = rows[name]
+        if kind is bool:
+            _no_value(name, value)
+            args[dest] = name == names[0]
+            continue
+        label = "/".join(names)
+        if value is None:
+            if j == len(rest) or _option(rest[j], rows) is not None:
+                raise ValueError(f"argument {label}: expected one argument")
+            value = rest[j]
+            j += 1
+        if isinstance(kind, tuple):
+            _choice(label, value, kind)
+            args[dest] = value
+            continue
+        try:
+            args[dest] = kind(value)
+        except ValueError:
+            raise ValueError(f"argument {label}: invalid {kind.__name__} value: {value!r}") from None
+    missing = ["/".join(names) for names, dest, _, _ in VERBS[verb][1] if args[dest] is ...]
+    if missing:
+        raise ValueError("the following arguments are required: " + ", ".join(missing))
+    if extras:
+        raise ValueError("unrecognized arguments: " + " ".join(extras))
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one call and write its document, the verb's or the failure's,
-    as the one line of stdout; return the exit code."""
+    or the ``--help`` text, as stdout; return the exit code."""
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = vars(_parser(argv).parse_args(argv))
-        if args.get("n", 1) < 1:
-            raise ValueError("n must be positive")
-        doc, code = VERBS[args.pop("verb")][0](**args), 0
-    except _Help:
-        return 0
+        args = parse_args(argv)
+        if isinstance(args, str):
+            out, code = args, 0
+        else:
+            if args.get("n", 1) < 1:
+                raise ValueError("n must be positive")
+            out, code = VERBS[args.pop("verb")][0](**args), 0
     except BoundExceededError as exc:
-        doc, code = {"error": str(exc)}, 3
+        out, code = {"error": str(exc)}, 3
     except SelftestFailure as exc:
-        doc, code = {"error": str(exc), "check": exc.check}, 4
+        out, code = {"error": str(exc), "check": exc.check}, 4
     except ValueError as exc:
-        doc, code = {"error": str(exc)}, 2
-    sys.stdout.write(json.dumps(doc, separators=(",", ":")) + "\n")
+        out, code = {"error": str(exc)}, 2
+    if isinstance(out, dict):
+        out = json.dumps(out, separators=(",", ":")) + "\n"
+    sys.stdout.write(out)
     return code
 
 

@@ -187,8 +187,12 @@ def ext_dim(q: ExtQuery) -> ExtAnswer:
     """
     if q.flavor not in ("smooth", "analytic"):
         raise ValueError(f"unknown flavor: {q.flavor}")
-    if q.degree < 0 or q.r < 1 or q.k < 1 or q.d_L < 1:
-        raise ValueError("inconsistent query parameters")
+    if q.degree < 0:
+        raise ValueError(f"degree must be nonnegative, got {q.degree}")
+    if q.r < 1 or q.k < 1:
+        raise ValueError("r and k must be positive")
+    if q.d_L < 1:
+        raise ValueError(f"d_L must be at least 1, got {q.d_L}")
     L, R = q.left, q.right
     k = q.k
     full = frozenset(range(1, k))

@@ -331,29 +331,89 @@ def test_selftest_quick(capsys):
 EXT_ARGS = ["--degree", "1", "--left", "i:1", "--right", "i:-", "--r", "2", "--k", "3"]
 
 
+VERB_CHOICES = ", ".join(map(repr, cli_io.VERBS))
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        pytest.param([], id="no-verb"),
-        pytest.param(["nope"], id="unknown-verb"),
-        pytest.param(["weyl", "--n", "4"], id="missing-option"),
-        pytest.param(["weyl", "--n", "x", "--w", "e"], id="non-integer"),
-        pytest.param(["ext-dim", "--kind", "bad", *EXT_ARGS], id="bad-kind"),
-        pytest.param(["selftest", "--level", "medium"], id="bad-level"),
-        pytest.param(["weyl", "--n", "4", "--w", "e", "--foo"], id="unknown-option"),
-        pytest.param(["weyl", "--n", "4", "--w", "e", "extra"], id="extra-positional"),
-        pytest.param(["steinberg-mult", "--r", "2", "--k", "2", "--max", "3"], id="abbrev-max"),
-        pytest.param(["cosets", "--n", "4", "--I", "-", "--J", "-", "--matr"], id="abbrev-matr"),
-        pytest.param(["weyl", "--n", "4", "--w", "e", "-h"], id="short-help"),
+        pytest.param([], "the following arguments are required: verb", id="no-verb"),
+        pytest.param(["nope"], f"argument verb: invalid choice: 'nope' (choose from {VERB_CHOICES})",
+                     id="unknown-verb"),
+        pytest.param(["weyl", "--n", "4"], "the following arguments are required: --w",
+                     id="missing-option"),
+        pytest.param(["weyl", "--n", "x", "--w", "e"], "argument --n: invalid int value: 'x'",
+                     id="non-integer"),
+        pytest.param(["ext-dim", "--kind", "bad", *EXT_ARGS],
+                     "argument --kind: invalid choice: 'bad' (choose from 'smooth', 'analytic')",
+                     id="bad-kind"),
+        pytest.param(["selftest", "--level", "medium"],
+                     "argument --level: invalid choice: 'medium' (choose from 'quick', 'full')",
+                     id="bad-level"),
+        pytest.param(["weyl", "--n", "4", "--w", "e", "--foo"], "unrecognized arguments: --foo",
+                     id="unknown-option"),
+        pytest.param(["weyl", "--n", "4", "--w", "e", "extra"], "unrecognized arguments: extra",
+                     id="extra-positional"),
+        pytest.param(["steinberg-mult", "--r", "2", "--k", "2", "--max", "3"],
+                     "unrecognized arguments: --max 3", id="abbrev-max"),
+        pytest.param(["cosets", "--n", "4", "--I", "-", "--J", "-", "--matr"],
+                     "unrecognized arguments: --matr", id="abbrev-matr"),
+        pytest.param(["weyl", "--n", "4", "--w", "e", "-h"], "unrecognized arguments: -h",
+                     id="short-help"),
         pytest.param(
             ["mult", "--r", "2", "--k", "2", "--dL", "3", "--K", "-", "--w", "[1,2,3,4];[1,2,3,4]"],
+            "expected 3 components separated by ';'",
             id="w-component-count",
         ),
+        pytest.param(["weyl", "--n", "4", "--w"], "argument --w: expected one argument",
+                     id="no-value-at-end"),
+        # A token that starts with "-" is a value only if it is "-", a
+        # negative number or contains a space.
+        pytest.param(["weyl", "--w", "--n", "4"], "argument --w: expected one argument",
+                     id="option-as-value"),
+        pytest.param(["weyl", "--w", "-e", "--n", "4"], "argument --w: expected one argument",
+                     id="unknown-option-as-value"),
+        pytest.param(["weyl", "--n=", "--w", "e"], "argument --n: invalid int value: ''",
+                     id="empty-explicit-int"),
+        pytest.param(["cosets", "--n", "4", "--I", "-", "--J", "-", "--matrices=1"],
+                     "argument --matrices: ignored explicit argument '1'", id="flag-explicit-value"),
+        pytest.param(["mult", "--r", "2", "--k", "2", "--dL", "x", "--K", "-", "--w", "e"],
+                     "argument --dl/--dL: invalid int value: 'x'", id="alias-non-integer"),
+        pytest.param(["weyl", "--n", "4", "--w", "e", "--"], "unrecognized arguments: --",
+                     id="trailing-double-dash"),
+        pytest.param(["weyl", "--N", "4", "--w", "e"], "the following arguments are required: --n",
+                     id="wrong-case"),
+        pytest.param(["ext-dim", *EXT_ARGS], "the following arguments are required: --kind",
+                     id="ext-dim-no-kind"),
+        # argparse dropped the "--" after "=" and handed these handlers an
+        # empty list, which crashed them; the value is now "--" as written.
+        pytest.param(["weyl", "--n=--", "--w", "e"], "argument --n: invalid int value: '--'",
+                     id="explicit-double-dash-int"),
+        pytest.param(["weyl", "--n", "4", "--w=--"], "malformed word token: '--'",
+                     id="explicit-double-dash-text"),
     ],
 )
-def test_usage_errors_exit_2(capsys, argv):
-    code, doc = run(capsys, *argv)
-    assert code == 2 and list(doc) == ["error"]
+def test_usage_errors_exit_2(capsys, argv, message):
+    # Apart from the two explicit "--" rows, each document is the one that
+    # argparse (CPython 3.11) gave, byte for byte.
+    assert main(argv) == 2
+    assert capsys.readouterr().out == json.dumps({"error": message}, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, dest, value",
+    [
+        (["weyl", "--n", "4", "--w", "-"], "w_text", "-"),
+        (["steinberg-mult", "--r", "2", "--k", "2", "--S", "-"], "s_text", "-"),
+        (["mult", "--r", "2", "--k", "2", "--K", "-", "--w", "e"], "k_text", "-"),
+        (["mult", "--r", "2", "--k", "2", "--dL", "-3", "--w", "e"], "d_l", -3),
+        (["weyl", "--n", "4", "--w=-0.5"], "w_text", "-0.5"),
+        (["weyl", "--n", "4", "--w", "-x y"], "w_text", "-x y"),
+    ],
+    ids=["dash-w", "dash-S", "dash-K", "negative-dL", "explicit", "space"],
+)
+def test_dash_tokens_that_are_values(argv, dest, value):
+    assert cli_io.parse_args(argv)[dest] == value
 
 
 @pytest.mark.parametrize(
@@ -456,12 +516,15 @@ def test_help_returns_0(capsys, argv):
     assert "--help" in out
     if argv[0] in cli_io.VERBS:
         assert out.startswith(f"usage: parastein {argv[0]} [--help]")
+        words = out.replace("[", " ").replace("]", " ").replace("/", " ").split()
+        for names, *_ in cli_io.VERBS[argv[0]][1]:
+            assert set(names) <= set(words), names
     else:
         assert "{" + ",".join(cli_io.VERBS) + "}" in out
 
 
 def test_option_of_another_verb_exit_2(capsys):
-    # Only jh's subparser is built for a jh call; --n belongs to weyl.
+    # A jh call reads jh's option rows only; --n belongs to weyl.
     code, doc = run(capsys, "jh", "--r", "2", "--k", "2", "--n", "4")
     assert code == 2 and doc == {"error": "unrecognized arguments: --n 4"}
 
@@ -495,10 +558,10 @@ def test_ignored_options_at_their_defaults_pass(capsys):
 
 def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
     # The console script and ``python -m`` call main() with no argv; the
-    # parser must still see the verb to build its subparser alone.
+    # parser must still be handed the arguments after the program name.
     seen = []
-    build = cli_io._parser
-    monkeypatch.setattr(cli_io, "_parser", lambda argv: seen.append(argv) or build(argv))
+    parse = cli_io.parse_args
+    monkeypatch.setattr(cli_io, "parse_args", lambda argv: seen.append(argv) or parse(argv))
     monkeypatch.setattr(sys, "argv", ["parastein", "jh", "--r", "2", "--k", "2"])
     code = main()
     assert code == 0 and json.loads(capsys.readouterr().out)["count"] == 2
@@ -624,15 +687,16 @@ def test_cli_imports_every_module_and_not_click():
     # importing cli_io; click is no longer a dependency, and dataclasses
     # (which imports inspect) would cost every CLI process about 12 ms.
     # fractions (with decimal under it) is loaded only by the verbs that
-    # build a Fraction.  The package is exactly these eight modules: the
-    # dot-action oracle lives in tests/weights_oracle.py, and the package
-    # exports none of it, nor any of the nine functions that nothing in
-    # the program called.
+    # build a Fraction, and argparse (with gettext under it) by none: the
+    # CLI reads its arguments from the VERBS rows itself.  The package is
+    # exactly these eight modules: the dot-action oracle lives in
+    # tests/weights_oracle.py, and the package exports none of it, nor any
+    # of the nine functions that nothing in the program called.
     src = os.path.dirname(os.path.dirname(cli_io.__file__))
     code = (
         "import parastein.cli_io, sys; "
-        "slow = [m for m in ('click', 'dataclasses', 'inspect', 'fractions', 'decimal') "
-        "if m in sys.modules]; "
+        "slow = [m for m in ('click', 'dataclasses', 'inspect', 'fractions', 'decimal', "
+        "'argparse', 'gettext') if m in sys.modules]; "
         "assert not slow, slow; "
         "mods = ['weyl_core', 'cosets', 'kl_mult', 'steinberg_mult', 'segments', 'ext_calc']; "
         "loaded = {m for m in sys.modules if m.split('.')[0] == 'parastein'}; "
@@ -686,7 +750,7 @@ def test_readme_example(capsys, argv, expected):
         assert json.loads(out) == expected
     # The verb's handler, on the options main parsed, writes nothing and
     # returns the document that main prints.
-    args = vars(cli_io._parser(argv).parse_args(argv))
+    args = cli_io.parse_args(argv)
     doc = cli_io.VERBS[args.pop("verb")][0](**args)
     assert capsys.readouterr().out == ""
     assert isinstance(doc, dict) and json.dumps(doc, separators=(",", ":")) + "\n" == out

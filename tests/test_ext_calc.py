@@ -262,6 +262,23 @@ def test_invalid_queries():
                     ext_dim(ExtQuery(flavor, False, 1, *pair, 1, k, 2))
 
 
+@pytest.mark.parametrize(
+    "degree, r, k, d_L, message",
+    [
+        (-1, 1, 3, 1, "degree must be nonnegative, got -1"),
+        (1, 0, 3, 1, "r and k must be positive"),
+        (1, 1, 0, 1, "r and k must be positive"),
+        (1, 1, 3, 0, "d_L must be at least 1, got 0"),
+    ],
+    ids=["degree", "r", "k", "d_L"],
+)
+def test_bad_query_field_is_named(degree, r, k, d_L, message):
+    for flavor in ("smooth", "analytic"):
+        with pytest.raises(ValueError) as exc:
+            ext_dim(ExtQuery(flavor, False, degree, ind(), ind(), r, k, d_L))
+        assert str(exc.value) == message
+
+
 def test_unknown_kinds_are_rejected():
     # A misspelled kind names no representation, on either side; each of
     # the seven documented kinds passes the check.

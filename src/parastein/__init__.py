@@ -22,7 +22,6 @@ from .segments import (
 )
 from .steinberg_mult import (
     ConstituentLabel,
-    GrothVector,
     analytic_tits_euler_check,
     check_complex_squares_zero,
     enumerate_constituents,

@@ -93,14 +93,16 @@ def _parse_rep(text: str, k: int) -> ext_calc.RepDescriptor:
         kind = {"i": "ind", "v": "steinberg", "levi": "levi-self"}[tag]
         return ext_calc.RepDescriptor(kind, parse_blockset(rest, 1, k).members)
     if tag in ("sigma", "c"):
-        if "@" in rest:
-            idx_text, sig_text = rest.split("@", 1)
-            idx, sig = int(idx_text), int(sig_text)
-            kind = "sigma-comp" if tag == "sigma" else "constituent"
-            return ext_calc.RepDescriptor(kind, frozenset(), idx, sig)
-        if tag == "c":
+        if tag == "c" and "@" not in rest:
             raise ValueError("constituent descriptors need the form c:j@sigma")
-        return ext_calc.RepDescriptor("sigma", frozenset(), int(rest), None)
+        try:
+            numbers = [int(t) for t in rest.split("@", 1)]
+        except ValueError:
+            raise ValueError(f"malformed rep descriptor: {text!r}") from None
+        if len(numbers) == 1:
+            return ext_calc.RepDescriptor("sigma", frozenset(), numbers[0], None)
+        kind = "sigma-comp" if tag == "sigma" else "constituent"
+        return ext_calc.RepDescriptor(kind, frozenset(), *numbers)
     raise ValueError(f"unknown rep descriptor tag: {tag!r}")
 
 

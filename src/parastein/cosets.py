@@ -31,30 +31,11 @@ class BlockSet(_Frozen):
         bad = [i for i in members if not 1 <= i <= k - 1]
         if bad:
             raise ValueError(f"block indices {bad} out of range 1..{k - 1}")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "members", frozenset(members))
+        super().__init__(r, k, frozenset(members))
 
     @property
     def n(self) -> int:
         return self.r * self.k
-
-    def roots(self) -> frozenset[int]:
-        """Simple roots {i*r : i in members} inside {1, ..., n-1}.
-
-        >>> sorted(BlockSet(2, 3, frozenset({1})).roots())
-        [2]
-        """
-        return frozenset(i * self.r for i in self.members)
-
-    def inner_roots(self) -> frozenset[int]:
-        """Simple roots of {1,...,n-1} that are NOT multiples of r
-        (the roots internal to the r-blocks).
-
-        >>> sorted(BlockSet(2, 2).inner_roots())
-        [1, 3]
-        """
-        return frozenset(i for i in range(1, self.n) if i % self.r != 0)
 
     def partition(self) -> tuple[int, ...]:
         """Ordered partition of k given by the gaps of members in {1,...,k-1}.
@@ -99,7 +80,11 @@ def parse_blockset(text: str, r: int, k: int) -> BlockSet:
     text = text.strip()
     if text == "-" or text == "":
         return BlockSet(r, k)
-    return BlockSet(r, k, frozenset(int(t) for t in text.split(",")))
+    try:
+        members = frozenset(int(t) for t in text.split(","))
+    except ValueError:
+        raise ValueError(f"malformed block set: {text!r}") from None
+    return BlockSet(r, k, members)
 
 
 def format_blockset(bs: BlockSet) -> str:

@@ -68,10 +68,6 @@ def poly_trim(coeffs: list[int]) -> Poly:
     return tuple(coeffs)
 
 
-def poly_eval_one(a: Poly) -> int:
-    return sum(a)
-
-
 def kl_cache_size() -> int:
     return len(_kl_cache)
 
@@ -221,7 +217,7 @@ def _parabolic_verma_mult(r: int, k: int, mask: int, w: MultiWeyl, memo: dict) -
             for u, l_u in par:
                 if l_u >= l_comp and u != comp:
                     continue
-                p = poly_eval_one(kl_poly(u, comp))
+                p = sum(kl_poly(u, comp))
                 acc += -p if l_u % 2 else p
             memo[mask, comp] = acc
         out *= acc

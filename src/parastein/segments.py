@@ -36,8 +36,7 @@ class Segment(_Frozen):
             raise ValueError("segment length must be positive")
         if twist.denominator not in (1, 2):
             raise ValueError("twist denominator must be 1 or 2")
-        object.__setattr__(self, "block_length", block_length)
-        object.__setattr__(self, "twist", twist)
+        super().__init__(block_length, twist)
 
 
 def pi_base_twists(r: int, k: int) -> tuple[Fraction, ...]:

@@ -40,8 +40,9 @@ The smooth Euler check is the same transform on a signed indicator, and
 three list masks in cube order (``_cube``), where flipping a block flips
 one bit of the list index, so the transform is list arithmetic.
 ``GrothVector``, a finitely supported integer-valued function on opaque
-labels, is used by no check.  It stays only while ``perfbench/tracing.py``
-names ``GrothVector.add`` (ROADMAP items 1 and 11).
+labels, is used by no check, and only its ``add`` remains: that is the
+name ``perfbench/tracing.py`` traces, and the record goes once the tracer
+no longer names it (ROADMAP items 1 and 11).
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import itertools
 from operator import itemgetter, mul
 
 from .cosets import BlockSet, _mask, _members, _parabolic_roots
-from .kl_mult import _check_ranks, _parabolic_verma_mult, kl_poly, poly_eval_one
+from .kl_mult import _check_ranks, _parabolic_verma_mult, kl_poly
 from .weyl_core import (
     DEFAULT_ENUM_BOUND,
     BoundExceededError,
@@ -77,19 +78,10 @@ MAX_LABEL_WS = 1 << 20
 # Grothendieck-group plumbing
 
 
-class GrothVector:
+class GrothVector(_Frozen):
     """Finitely supported integer combination of opaque labels."""
 
     __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: dict | None = None) -> None:
-        self.coeffs = {} if coeffs is None else coeffs
-
-    def __repr__(self) -> str:
-        return f"GrothVector(coeffs={self.coeffs!r})"
-
-    def __reduce__(self) -> tuple:
-        return GrothVector, (self.coeffs,)
 
     def add(self, label, c: int = 1) -> "GrothVector":
         new = dict(self.coeffs)
@@ -97,26 +89,6 @@ class GrothVector:
         if new[label] == 0:
             del new[label]
         return GrothVector(new)
-
-    def __add__(self, other: "GrothVector") -> "GrothVector":
-        new = dict(self.coeffs)
-        for label, c in other.coeffs.items():
-            v = new.get(label, 0) + c
-            if v:
-                new[label] = v
-            else:
-                new.pop(label, None)
-        return GrothVector(new)
-
-    def scale(self, c: int) -> "GrothVector":
-        if c == 0:
-            return GrothVector()
-        return GrothVector({label: c * v for label, v in self.coeffs.items()})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GrothVector):
-            return NotImplemented
-        return self.coeffs == other.coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +198,7 @@ def _component_table(comp: Perm, S: BlockSet, top: int, memo: dict) -> dict:
     for u, outer, l_u in rows:
         if l_u >= l_comp and u != comp:
             continue
-        val = poly_eval_one(kl_poly(u, comp))
+        val = sum(kl_poly(u, comp))
         if val:
             table[outer] = table.get(outer, 0) + (-val if l_u % 2 else val)
     memo[comp] = top, table
@@ -332,8 +304,8 @@ class ConstituentLabel(_Frozen):
 
 
 # The slot descriptors' setters, which skip ``_Frozen.__setattr__``: a
-# listing builds one label per nonzero (w, J), and this takes about two
-# thirds of the time of three ``object.__setattr__`` calls.
+# listing builds one label per nonzero (w, J), and through
+# ``_Frozen.__init__`` a label takes about three times as long.
 _set_w, _set_J, _set_S = (
     ConstituentLabel.w.__set__,
     ConstituentLabel.J.__set__,

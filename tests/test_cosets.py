@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -90,6 +91,12 @@ def test_parse_format():
     assert format_blockset(bs) == "1,3"
     assert parse_blockset("-", 2, 2).members == frozenset()
     assert format_blockset(BlockSet(2, 2)) == "-"
+
+
+@pytest.mark.parametrize("text", ["1,,2", "1,", "x", "1.0"])
+def test_parse_blockset_names_malformed_text(text):
+    with pytest.raises(ValueError, match=re.escape(f"malformed block set: {text!r}")):
+        parse_blockset(text, 1, 4)
 
 
 def test_min_double_coset_reps_examples():

@@ -96,17 +96,26 @@ def test_repr_by_field():
     assert repr(ExtAnswer("zero", None, "R1")) == (
         "ExtAnswer(status='zero', dim=None, rule='R1', note='')"
     )
+    assert repr(GrothVector({"a": 1})) == "GrothVector(coeffs={'a': 1})"
 
 
 def test_groth_vector_equality():
-    v = GrothVector().add("a").add("b", 2)
+    v = GrothVector({}).add("a").add("b", 2)
     assert v == GrothVector({"a": 1, "b": 2})
     assert v != GrothVector({"a": 1})
-    assert GrothVector() == GrothVector({})
-    assert GrothVector() != {}
+    assert GrothVector({}) != {}
     assert GrothVector({"a": 1}) != {"a": 1}
     with pytest.raises(TypeError):
         hash(v)
+
+
+def test_groth_vector_refuses_assignment():
+    v = GrothVector({"a": 1})
+    with pytest.raises(AttributeError):
+        v.coeffs = {}
+    with pytest.raises(AttributeError):
+        del v.coeffs
+    assert v.coeffs == {"a": 1}
 
 
 @pytest.mark.parametrize(

@@ -14,8 +14,10 @@ from parastein.weyl_core import (
 )
 from weights_oracle import (
     _admissible_labels,
+    block_roots,
     dominance_set,
     dot_action,
+    inner_roots,
     is_I_dominant,
     rho_shifted,
     zero_weight,
@@ -101,7 +103,7 @@ def test_admissible_labels_keep_the_dominant_representatives(r, k, d_L):
     for size in range(k):
         for members in itertools.combinations(range(1, k), size):
             S = BlockSet(r, k, frozenset(members))
-            roots = S.inner_roots() | S.roots()
+            roots = inner_roots(S) | block_roots(S)
             expected = {
                 w
                 for w in itertools.product(group, repeat=d_L)

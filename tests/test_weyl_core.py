@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given
@@ -248,11 +249,16 @@ def test_parse_format_roundtrip():
         (parse_perm, ("[1,2",), "malformed one-line permutation"),
         (parse_perm, ("[1,2,3]", 4), "rank mismatch: expected 4, got 3"),
         (parse_perm, ("t1", 3), "malformed word token"),
+        (parse_perm, ("[]", 4), "malformed one-line permutation: '[]'"),
+        (parse_perm, ("[1,2,3,4,]", 4), "malformed one-line permutation: '[1,2,3,4,]'"),
+        (parse_perm, ("[1.0,2,3]",), "malformed one-line permutation: '[1.0,2,3]'"),
+        (parse_perm, ("s", 4), "malformed word token: 's'"),
     ],
-    ids=["s4-rank4", "multiply", "bruhat-leq", "unclosed", "parse-rank", "word-token"],
+    ids=["s4-rank4", "multiply", "bruhat-leq", "unclosed", "parse-rank", "word-token",
+         "empty-brackets", "trailing-comma", "float-entry", "bare-s"],
 )
 def test_bad_input_raises(func, args, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         func(*args)
 
 

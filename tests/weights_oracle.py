@@ -85,6 +85,16 @@ def is_I_dominant(lam: Weight, roots: frozenset[int] | set[int], plus: bool = Tr
     return True
 
 
+def block_roots(bs: BlockSet) -> frozenset[int]:
+    """The simple roots i * r of the blocks i of ``bs``."""
+    return frozenset(i * bs.r for i in bs.members)
+
+
+def inner_roots(bs: BlockSet) -> frozenset[int]:
+    """The simple roots inside the r-blocks, those not a multiple of r."""
+    return frozenset(i for i in range(1, bs.n) if i % bs.r)
+
+
 def dominance_set(w: MultiWeyl, lam: Weight) -> frozenset[int]:
     """The maximal root set J with w . lam plus-dominant for J; requires
     lam itself dominant.  For dominant lam this coincides with the

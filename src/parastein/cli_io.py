@@ -13,7 +13,10 @@ that names every option of the verb, exit 0.  Otherwise a call prints
 exactly one JSON document, on one line of standard output.
 Each handler in ``VERBS`` returns its document as a dict and writes
 nothing; ``main()`` writes the one line, the handler's document or the
-{"error": ...} document of a failure, from a single write.  Exit codes:
+{"error": ...} document of a failure, from a single write.  This module
+reads the library only as attributes of its modules, such as
+``weyl_core.parse_perm``, so a call runs only the modules that its verb
+reads (see ``parastein/__init__.py``).  Exit codes:
 
 - 0 success;
 - 2 bad input: a usage error or a failed precondition, such as a rank
@@ -42,33 +45,10 @@ import json
 import re
 import sys
 
-from . import ext_calc, kl_mult, segments, steinberg_mult
-from .cosets import (
-    BlockSet,
-    coset_matrix,
-    double_coset_count_oracle,
-    format_blockset,
-    min_double_coset_reps,
-    modulus_exponents,
-    parse_blockset,
-)
-from .weyl_core import (
-    BoundExceededError,
-    MultiWeyl,
-    bruhat_leq,
-    enumerate_group,
-    format_perm,
-    format_word,
-    left_ascents,
-    left_descents,
-    length,
-    parse_perm,
-    right_descents,
-    support,
-)
+from . import cosets, ext_calc, kl_mult, segments, steinberg_mult, weyl_core
 
 
-def _parse_multiweyl(text: str, n: int, d_L: int) -> MultiWeyl:
+def _parse_multiweyl(text: str, n: int, d_L: int) -> weyl_core.MultiWeyl:
     # d_L first: the component count below means nothing for d_L < 1.
     if d_L < 1:
         raise ValueError(f"d_L must be at least 1, got {d_L}")
@@ -79,7 +59,7 @@ def _parse_multiweyl(text: str, n: int, d_L: int) -> MultiWeyl:
         parts = parts * d_L
     if len(parts) != d_L:
         raise ValueError(f"expected {d_L} components separated by ';'")
-    return tuple(parse_perm(p, n) for p in parts)
+    return tuple(weyl_core.parse_perm(p, n) for p in parts)
 
 
 def _parse_rep(text: str, k: int) -> ext_calc.RepDescriptor:
@@ -91,7 +71,7 @@ def _parse_rep(text: str, k: int) -> ext_calc.RepDescriptor:
     tag, rest = text.split(":", 1)
     if tag in ("i", "v", "levi"):
         kind = {"i": "ind", "v": "steinberg", "levi": "levi-self"}[tag]
-        return ext_calc.RepDescriptor(kind, parse_blockset(rest, 1, k).members)
+        return ext_calc.RepDescriptor(kind, cosets.parse_blockset(rest, 1, k).members)
     if tag in ("sigma", "c"):
         if tag == "c" and "@" not in rest:
             raise ValueError("constituent descriptors need the form c:j@sigma")
@@ -107,66 +87,70 @@ def _parse_rep(text: str, k: int) -> ext_calc.RepDescriptor:
 
 
 def weyl_cmd(n: int, w_text: str) -> dict:
-    w = parse_perm(w_text, n)
+    w = weyl_core.parse_perm(w_text, n)
     return {
-        "w": format_perm(w),
-        "length": length(w),
-        "reduced_word": format_word(w),
-        "support": sorted(support(w)),
-        "left_descents": sorted(left_descents(w)),
-        "right_descents": sorted(right_descents(w)),
-        "ascents": sorted(left_ascents(w)),
+        "w": weyl_core.format_perm(w),
+        "length": weyl_core.length(w),
+        "reduced_word": weyl_core.format_word(w),
+        "support": sorted(weyl_core.support(w)),
+        "left_descents": sorted(weyl_core.left_descents(w)),
+        "right_descents": sorted(weyl_core.right_descents(w)),
+        "ascents": sorted(weyl_core.left_ascents(w)),
     }
 
 
 def cosets_cmd(n: int, i_text: str, j_text: str, matrices: bool) -> dict:
-    I = parse_blockset(i_text, 1, n).members
-    J = parse_blockset(j_text, 1, n).members
-    reps = min_double_coset_reps(n, I, J)
+    I = cosets.parse_blockset(i_text, 1, n).members
+    J = cosets.parse_blockset(j_text, 1, n).members
+    reps = cosets.min_double_coset_reps(n, I, J)
     doc: dict = {
         "count": len(reps),
-        "oracle_count": double_coset_count_oracle(n, I, J),
-        "reps": [format_perm(w) for w in reps],
+        "oracle_count": cosets.double_coset_count_oracle(n, I, J),
+        "reps": [weyl_core.format_perm(w) for w in reps],
     }
     if matrices:
-        doc["matrices"] = [coset_matrix(w, I, J) for w in reps]
+        doc["matrices"] = [cosets.coset_matrix(w, I, J) for w in reps]
     return doc
 
 
 def kl_cmd(n: int, x_text: str, w_text: str) -> dict:
-    x = parse_perm(x_text, n)
-    w = parse_perm(w_text, n)
+    x = weyl_core.parse_perm(x_text, n)
+    w = weyl_core.parse_perm(w_text, n)
     return {"coeffs": list(kl_mult.kl_poly(x, w))}
 
 
 def mult_cmd(r: int, k: int, d_l: int, k_text: str, w_text: str) -> dict:
-    K = parse_blockset(k_text, r, k)
+    K = cosets.parse_blockset(k_text, r, k)
     w = _parse_multiweyl(w_text, r * k, d_l)
-    return {"K": format_blockset(K), "m": kl_mult.parabolic_verma_mult(K, w)}
+    return {"K": cosets.format_blockset(K), "m": kl_mult.parabolic_verma_mult(K, w)}
 
 
 def steinberg_cmd(
     r: int, k: int, d_l: int, w_text: str | None, j_text: str, s_text: str, max_len: int | None
 ) -> dict:
-    S = parse_blockset(s_text, r, k)
+    S = cosets.parse_blockset(s_text, r, k)
     if w_text is not None:
         if max_len is not None:
             raise ValueError("--max-len applies only to a listing, not with --w")
-        J = parse_blockset(j_text, r, k)
+        J = cosets.parse_blockset(j_text, r, k)
         w = _parse_multiweyl(w_text, r * k, d_l)
         return {
-            "w": ";".join(format_perm(c) for c in w),
-            "J": format_blockset(J),
-            "S": format_blockset(S),
+            "w": ";".join(weyl_core.format_perm(c) for c in w),
+            "J": cosets.format_blockset(J),
+            "S": cosets.format_blockset(S),
             "m": steinberg_mult.steinberg_multiplicity(w, J, S),
         }
     if j_text != "-":
         raise ValueError("--J applies only with --w, not to a listing")
     out = steinberg_mult.enumerate_constituents(S, d_l, max_len)
     return {
-        "S": format_blockset(S),
+        "S": cosets.format_blockset(S),
         "constituents": [
-            {"w": ";".join(format_perm(c) for c in lab.w), "J": format_blockset(lab.J), "m": m}
+            {
+                "w": ";".join(weyl_core.format_perm(c) for c in lab.w),
+                "J": cosets.format_blockset(lab.J),
+                "m": m,
+            }
             for lab, m in out
         ],
     }
@@ -174,14 +158,14 @@ def steinberg_cmd(
 
 def jh_cmd(r: int, k: int) -> dict:
     factors = segments.jh_factors(r, k)
-    return {"count": len(factors), "factors": [format_blockset(f) for f in factors]}
+    return {"count": len(factors), "factors": [cosets.format_blockset(f) for f in factors]}
 
 
 def segments_cmd(r: int, k: int, i_text: str) -> dict:
-    I = parse_blockset(i_text, r, k)
+    I = cosets.parse_blockset(i_text, r, k)
     segs = segments.pi_I_segments(r, k, I)
     return {
-        "I": format_blockset(I),
+        "I": cosets.format_blockset(I),
         "segments": [{"len": s.block_length, "twist": str(s.twist)} for s in segs],
     }
 
@@ -190,15 +174,18 @@ def jacquet_cmd(r: int, k: int) -> dict:
     terms = segments.jacquet_decomposition(r, k)
     return {
         "count": len(terms),
-        "terms": [{"w": format_perm(w), "exponents": [str(e) for e in exps]} for w, exps in terms],
+        "terms": [
+            {"w": weyl_core.format_perm(w), "exponents": [str(e) for e in exps]}
+            for w, exps in terms
+        ],
     }
 
 
 def tits_cmd(r: int, k: int, analytic: bool, s_text: str, d_l: int, max_len: int | None) -> dict:
     if analytic:
-        S = parse_blockset(s_text, r, k)
+        S = cosets.parse_blockset(s_text, r, k)
         ok = steinberg_mult.analytic_tits_euler_check(S, d_l, max_len)
-        return {"mode": "analytic", "S": format_blockset(S), "ok": ok}
+        return {"mode": "analytic", "S": cosets.format_blockset(S), "ok": ok}
     # The smooth check reads none of the analytic options: a value other
     # than the default would be silently ignored.
     ignored = (("--S", s_text, "-"), ("--dL", d_l, 1), ("--max-len", max_len, None))
@@ -267,23 +254,26 @@ def run_selftest(level: str) -> int:
 
     # Bruhat partial order sanity and coset counts.
     for n in range(1, n_max + 1):
-        group = enumerate_group(n)
+        group = weyl_core.enumerate_group(n)
         w0 = group[-1]
-        require(length(w0) == n * (n - 1) // 2, "longest length")
+        require(weyl_core.length(w0) == n * (n - 1) // 2, "longest length")
         for w in group:
-            require(bruhat_leq(group[0], w) and bruhat_leq(w, w0), "order extremes")
+            require(
+                weyl_core.bruhat_leq(group[0], w) and weyl_core.bruhat_leq(w, w0),
+                "order extremes",
+            )
     for n in range(2, min(n_max, 5) + 1):
         roots = list(range(1, n))
         for i_mask in range(1 << len(roots)):
             I = frozenset(roots[t] for t in range(len(roots)) if i_mask >> t & 1)
-            got = len(min_double_coset_reps(n, I, I))
-            require(got == double_coset_count_oracle(n, I, I), "coset count oracle")
+            got = len(cosets.min_double_coset_reps(n, I, I))
+            require(got == cosets.double_coset_count_oracle(n, I, I), "coset count oracle")
 
     # Modulus exponents pair to zero against block sizes.
     for k in range(1, k_max + 1):
         for r in (1, 2):
             for I in segments.jh_factors(r, k):
-                exps = modulus_exponents(I)
+                exps = cosets.modulus_exponents(I)
                 parts = I.partition()
                 require(
                     sum(a * p for a, p in zip(exps, parts)) == 0, "modulus pairing"
@@ -306,16 +296,17 @@ def run_selftest(level: str) -> int:
 
     # KL suite on a small group.
     n = 4 if level == "quick" else 5
-    group = enumerate_group(n)
+    group = weyl_core.enumerate_group(n)
     for x in group:
         for w in group:
             p = kl_mult.kl_poly(x, w)
-            if not bruhat_leq(x, w):
+            if not weyl_core.bruhat_leq(x, w):
                 require(p == (), "vanishing off the order")
             else:
                 require(p[0] == 1, "constant term")
                 require(
-                    x == w or 2 * (len(p) - 1) <= length(w) - length(x) - 1,
+                    x == w
+                    or 2 * (len(p) - 1) <= weyl_core.length(w) - weyl_core.length(x) - 1,
                     "degree bound",
                 )
     checks += 1
@@ -324,7 +315,7 @@ def run_selftest(level: str) -> int:
     envelope = [(1, 3, 1), (2, 2, 1)] if level == "quick" else [(1, 3, 1), (2, 2, 1), (2, 2, 2)]
     for r, k, d_l in envelope:
         require(
-            steinberg_mult.analytic_tits_euler_check(BlockSet(r, k), d_l),
+            steinberg_mult.analytic_tits_euler_check(cosets.BlockSet(r, k), d_l),
             "formula-oracle agreement",
         )
         for I in segments.jh_factors(r, k):
@@ -495,7 +486,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.get("n", 1) < 1:
                 raise ValueError("n must be positive")
             out, code = VERBS[args.pop("verb")][0](**args), 0
-    except BoundExceededError as exc:
+    except weyl_core.BoundExceededError as exc:
         out, code = {"error": str(exc)}, 3
     except SelftestFailure as exc:
         out, code = {"error": str(exc), "check": exc.check}, 4

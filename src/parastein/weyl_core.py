@@ -327,7 +327,7 @@ def parse_perm(text: str, n: int | None = None) -> Perm:
     >>> parse_perm("e", n=3)
     (1, 2, 3)
     """
-    text = text.strip()
+    typed, text = text, text.strip()
     if text.startswith("["):
         if not text.endswith("]"):
             raise ValueError(f"malformed one-line permutation: {text!r}")
@@ -347,6 +347,8 @@ def parse_perm(text: str, n: int | None = None) -> Perm:
     word = []
     for tok in text.split("*"):
         tok = tok.strip()
+        if not tok:
+            raise ValueError(f"malformed word token: '' in {typed!r}")
         if not tok.startswith("s"):
             raise ValueError(f"malformed word token: {tok!r}")
         try:

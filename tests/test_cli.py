@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from parastein import cli_io, steinberg_mult
+from parastein import cli_io, steinberg_mult, weyl_core
 from parastein.cli_io import main
 from parastein.kl_mult import kl_cache_clear
 
@@ -289,7 +289,8 @@ def test_negative_max_len_exit_2(capsys):
 
 
 def test_selftest_failure_exit_4(capsys, monkeypatch):
-    monkeypatch.setattr(cli_io, "length", lambda w: -1)
+    # cli_io reads length through weyl_core at each call.
+    monkeypatch.setattr(weyl_core, "length", lambda w: -1)
     code, doc = run(capsys, "selftest", "--level", "quick")
     assert code == 4
     assert doc["check"] == "longest length"
@@ -684,22 +685,30 @@ def test_kl_cache_cap_counts_are_read(capsys, monkeypatch, cap, expected):
 
 
 def test_cli_imports_every_module_and_not_click():
-    # perfbench/tracing.py finds each traced module in sys.modules after
-    # importing cli_io; click is no longer a dependency, and dataclasses
-    # (which imports inspect) would cost every CLI process about 12 ms.
-    # fractions (with decimal under it) is loaded only by the verbs that
-    # build a Fraction, and argparse (with gettext under it) by none: the
-    # CLI reads its arguments from the VERBS rows itself.  The package is
-    # exactly these eight modules: the dot-action oracle lives in
-    # tests/weights_oracle.py, and the package exports none of it, nor any
-    # of the nine functions that nothing in the program called.
+    # perfbench/tracing.py and perfbench/memo.py find each library module
+    # in sys.modules after importing cli_io: the package registers all
+    # six there, and runs none of them until a verb reads from it.  click
+    # is no longer a dependency, and dataclasses (which imports inspect)
+    # would cost every CLI process about 12 ms.  fractions (with decimal
+    # under it) is loaded only by the verbs that build a Fraction, and
+    # argparse (with gettext under it) by none: the CLI reads its
+    # arguments from the VERBS rows itself.  The package is exactly these
+    # eight modules: the dot-action oracle lives in tests/weights_oracle.py,
+    # and the package exports none of it, nor any of the nine functions
+    # that nothing in the program called.
     src = os.path.dirname(os.path.dirname(cli_io.__file__))
     code = (
-        "import parastein.cli_io, sys; "
+        "import sys, types; "
+        "mods = ['weyl_core', 'cosets', 'kl_mult', 'steinberg_mult', 'segments', 'ext_calc']; "
+        "ran = lambda: [m for m in mods "
+        "if type(sys.modules.get('parastein.' + m)) is types.ModuleType]; "
+        "import parastein; "
+        "assert not ran(), ran(); "
+        "from parastein import cli_io; "
+        "assert not ran(), ran(); "
         "slow = [m for m in ('click', 'dataclasses', 'inspect', 'fractions', 'decimal', "
         "'argparse', 'gettext') if m in sys.modules]; "
         "assert not slow, slow; "
-        "mods = ['weyl_core', 'cosets', 'kl_mult', 'steinberg_mult', 'segments', 'ext_calc']; "
         "loaded = {m for m in sys.modules if m.split('.')[0] == 'parastein'}; "
         "expected = {'parastein', 'parastein.cli_io', *('parastein.' + m for m in mods)}; "
         "assert loaded == expected, sorted(loaded ^ expected); "

@@ -253,9 +253,13 @@ def test_parse_format_roundtrip():
         (parse_perm, ("[1,2,3,4,]", 4), "malformed one-line permutation: '[1,2,3,4,]'"),
         (parse_perm, ("[1.0,2,3]",), "malformed one-line permutation: '[1.0,2,3]'"),
         (parse_perm, ("s", 4), "malformed word token: 's'"),
+        (parse_perm, (" ", 4), "malformed word token: '' in ' '"),
+        (parse_perm, ("s1**s2", 4), "malformed word token: '' in 's1**s2'"),
+        (parse_perm, ("s1*", 4), "malformed word token: '' in 's1*'"),
     ],
     ids=["s4-rank4", "multiply", "bruhat-leq", "unclosed", "parse-rank", "word-token",
-         "empty-brackets", "trailing-comma", "float-entry", "bare-s"],
+         "empty-brackets", "trailing-comma", "float-entry", "bare-s", "blank-word",
+         "empty-inner-token", "empty-last-token"],
 )
 def test_bad_input_raises(func, args, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -486,12 +486,13 @@ def main(argv: list[str] | None = None) -> int:
             if args.get("n", 1) < 1:
                 raise ValueError("n must be positive")
             out, code = VERBS[args.pop("verb")][0](**args), 0
+    except ValueError as exc:
+        # First: reading weyl_core.BoundExceededError would run weyl_core.
+        out, code = {"error": str(exc)}, 2
     except weyl_core.BoundExceededError as exc:
         out, code = {"error": str(exc)}, 3
     except SelftestFailure as exc:
         out, code = {"error": str(exc), "check": exc.check}, 4
-    except ValueError as exc:
-        out, code = {"error": str(exc)}, 2
     if isinstance(out, dict):
         out = json.dumps(out, separators=(",", ":")) + "\n"
     sys.stdout.write(out)

@@ -687,15 +687,16 @@ def test_kl_cache_cap_counts_are_read(capsys, monkeypatch, cap, expected):
 def test_cli_imports_every_module_and_not_click():
     # perfbench/tracing.py and perfbench/memo.py find each library module
     # in sys.modules after importing cli_io: the package registers all
-    # six there, and runs none of them until a verb reads from it.  click
-    # is no longer a dependency, and dataclasses (which imports inspect)
-    # would cost every CLI process about 12 ms.  fractions (with decimal
-    # under it) is loaded only by the verbs that build a Fraction, and
-    # argparse (with gettext under it) by none: the CLI reads its
-    # arguments from the VERBS rows itself.  The package is exactly these
-    # eight modules: the dot-action oracle lives in tests/weights_oracle.py,
-    # and the package exports none of it, nor any of the nine functions
-    # that nothing in the program called.
+    # six there, and runs none of them until a verb reads from it.  Once
+    # all six have run, none of the slow modules is loaded: click is no
+    # longer a dependency, and dataclasses (which imports inspect) would
+    # cost every CLI process about 12 ms.  fractions (with decimal under
+    # it) is loaded only by the verbs that build a Fraction, and argparse
+    # (with gettext under it) by none: the CLI reads its arguments from
+    # the VERBS rows itself.  test_loading.py checks the same per verb.
+    # The package is exactly these eight modules: the dot-action oracle
+    # lives in tests/weights_oracle.py, and the package exports none of
+    # it, nor any of the nine functions that nothing in the program called.
     src = os.path.dirname(os.path.dirname(cli_io.__file__))
     code = (
         "import sys, types; "
@@ -706,12 +707,14 @@ def test_cli_imports_every_module_and_not_click():
         "assert not ran(), ran(); "
         "from parastein import cli_io; "
         "assert not ran(), ran(); "
-        "slow = [m for m in ('click', 'dataclasses', 'inspect', 'fractions', 'decimal', "
-        "'argparse', 'gettext') if m in sys.modules]; "
-        "assert not slow, slow; "
         "loaded = {m for m in sys.modules if m.split('.')[0] == 'parastein'}; "
         "expected = {'parastein', 'parastein.cli_io', *('parastein.' + m for m in mods)}; "
         "assert loaded == expected, sorted(loaded ^ expected); "
+        "[sys.modules['parastein.' + m].__name__ for m in mods]; "
+        "assert ran() == mods, ran(); "
+        "slow = [m for m in ('click', 'dataclasses', 'inspect', 'fractions', 'decimal', "
+        "'argparse', 'gettext') if m in sys.modules]; "
+        "assert not slow, slow; "
         "gone = ('dominance_set', 'dot_action', 'is_I_dominant', 'zero_weight', "
         "'block_embed', 'block_restrict', 'is_in_W_IJ', 'longest_element', "
         "'tits_differential_sign', 'format_orientation', "

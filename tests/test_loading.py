@@ -4,7 +4,9 @@
 ``sys.modules`` and runs none of them; a verb runs the modules it reads
 from, plus what those import.  A module counts as run once its lazy
 stand-in has become a plain module.  Each test starts a fresh
-interpreter, so no module that another test ran is counted."""
+interpreter, so no module that another test ran is counted.  The same
+process also reports the slow standard-library modules it loaded, so a
+module-level import of one of them in a library module shows here."""
 
 import json
 import os
@@ -19,10 +21,14 @@ import parastein
 SRC = os.path.dirname(os.path.dirname(parastein.__file__))
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 MODULES = ["weyl_core", "cosets", "kl_mult", "segments", "steinberg_mult", "ext_calc"]
+SLOW = ["click", "dataclasses", "inspect", "fractions", "decimal", "argparse", "gettext"]
 RAN = f"""
 import sys, types
 ran = [m for m in {MODULES!r} if type(sys.modules["parastein." + m]) is types.ModuleType]
+slow = [m for m in {SLOW!r} if m in sys.modules]
 """
+# The verbs that build a Fraction, and so load fractions and decimal.
+FRACTION_VERBS = {"segments", "jacquet", "selftest"}
 
 # Every name that the package exported when it imported its modules
 # eagerly, by the module that defines it.
@@ -56,40 +62,43 @@ STEINBERG = ["weyl_core", "cosets", "kl_mult", "steinberg_mult"]
 
 
 @pytest.mark.parametrize(
-    "argv, expected",
+    "argv, rc, expected",
     [
-        (["--help"], []),
-        (["weyl", "--help"], []),
-        (["weyl", "--n", "4", "--w", "[2,1,3,4]"], ["weyl_core"]),
-        (["cosets", "--n", "3", "--I", "1", "--J", "-"], ["weyl_core", "cosets"]),
-        (["kl", "--n", "3", "--x", "e", "--w", "[3,2,1]"], ["weyl_core", "cosets", "kl_mult"]),
-        (["mult", "--r", "1", "--k", "2", "--w", "e"], ["weyl_core", "cosets", "kl_mult"]),
-        (["jh", "--r", "1", "--k", "3"], ["weyl_core", "cosets", "segments"]),
-        (["segments", "--r", "1", "--k", "3"], ["weyl_core", "cosets", "segments"]),
-        (["jacquet", "--r", "1", "--k", "2"], ["weyl_core", "cosets", "segments"]),
-        (["steinberg-mult", "--r", "1", "--k", "2", "--S", "-"], STEINBERG),
-        (["steinberg-mult", "--r", "1", "--k", "2", "--w", "e"], STEINBERG),
-        (["tits-check", "--r", "1", "--k", "2", "--analytic"], STEINBERG),
-        (["tits-check", "--r", "1", "--k", "2"],
+        (["--help"], 0, []),
+        (["weyl", "--help"], 0, []),
+        (["weyl", "--n", "4", "--w", "[2,1,3,4]"], 0, ["weyl_core"]),
+        # A usage error writes its document without running a module.
+        (["weyl", "--n", "4"], 2, []),
+        (["cosets", "--n", "3", "--I", "1", "--J", "-"], 0, ["weyl_core", "cosets"]),
+        (["kl", "--n", "3", "--x", "e", "--w", "[3,2,1]"], 0, ["weyl_core", "cosets", "kl_mult"]),
+        (["mult", "--r", "1", "--k", "2", "--w", "e"], 0, ["weyl_core", "cosets", "kl_mult"]),
+        (["jh", "--r", "1", "--k", "3"], 0, ["weyl_core", "cosets", "segments"]),
+        (["segments", "--r", "1", "--k", "3"], 0, ["weyl_core", "cosets", "segments"]),
+        (["jacquet", "--r", "1", "--k", "2"], 0, ["weyl_core", "cosets", "segments"]),
+        (["steinberg-mult", "--r", "1", "--k", "2", "--S", "-"], 0, STEINBERG),
+        (["steinberg-mult", "--r", "1", "--k", "2", "--w", "e"], 0, STEINBERG),
+        (["tits-check", "--r", "1", "--k", "2", "--analytic"], 0, STEINBERG),
+        (["tits-check", "--r", "1", "--k", "2"], 0,
          ["weyl_core", "cosets", "kl_mult", "segments", "steinberg_mult"]),
         (["ext-dim", "--kind", "smooth", "--degree", "1", "--left", "st-an", "--right", "st-an",
-          "--r", "1", "--k", "2"], ["weyl_core", "cosets", "ext_calc"]),
-        (["selftest"], MODULES),
+          "--r", "1", "--k", "2"], 0, ["weyl_core", "cosets", "ext_calc"]),
+        (["selftest"], 0, MODULES),
     ],
-    ids=["help", "weyl-help", "weyl", "cosets", "kl", "mult", "jh", "segments", "jacquet",
-         "steinberg-listing", "steinberg-w", "tits-analytic", "tits-smooth", "ext-dim",
-         "selftest"],
+    ids=["help", "weyl-help", "weyl", "weyl-usage-error", "cosets", "kl", "mult", "jh",
+         "segments", "jacquet", "steinberg-listing", "steinberg-w", "tits-analytic",
+         "tits-smooth", "ext-dim", "selftest"],
 )
-def test_each_verb_runs_only_its_modules(argv, expected):
+def test_each_verb_runs_only_its_modules(argv, rc, expected):
     code = f"""
 import contextlib, io, json
 from parastein import cli_io
 with contextlib.redirect_stdout(io.StringIO()):
     rc = cli_io.main({argv!r})
 {RAN}
-print(json.dumps([rc, ran]))
+print(json.dumps([rc, ran, slow]))
 """
-    assert json.loads(python(code)) == [0, expected]
+    slow = ["fractions", "decimal"] if argv[0] in FRACTION_VERBS else []
+    assert json.loads(python(code)) == [rc, expected, slow]
 
 
 def test_every_export_is_the_submodules_own_object():

@@ -588,8 +588,9 @@ def _process(*argv):
         (["no-such-verb"], 2),
         (["weyl", "--n", "0", "--w", "e"], 2),
         (["jh", "--r", "1", "--k", "40"], 3),
+        (["kl", "--n", "10", "--x", "e", "--w", "[5,6,7,8,9,10,1,2,3,4]"], 3),
     ],
-    ids=["weyl", "unknown-verb", "rank-0", "enumeration-bound"],
+    ids=["weyl", "unknown-verb", "rank-0", "enumeration-bound", "kl-rank-bound"],
 )
 def test_process_exit_code_and_stdout(capsys, argv, code):
     # The process prints what main prints in process, byte for byte, and

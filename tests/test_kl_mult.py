@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from test_weyl_core import boundary_entries_hold
 
 from parastein import kl_mult
 from parastein.cosets import BlockSet
@@ -69,6 +70,72 @@ def test_kl_suite_s4():
                 sx = multiply(s, x)
                 if length(sx) > length(x):
                     assert kl_poly(sx, w) == p
+
+
+def test_trivial_pairs_never_reach_the_recursion(monkeypatch):
+    # P_{w,w} = 1 and the zeros that the four boundary entries of the rank
+    # matrix decide are answered before any memo key is built: with _kl
+    # raising, kl_poly still answers every one and leaves the memo as it was.
+    def no_recursion(x, w):
+        raise AssertionError(f"_kl reached on {(x, w)}")
+
+    kl_poly(identity(4), (3, 4, 1, 2))
+    before = dict(kl_mult._kl_cache)
+    monkeypatch.setattr(kl_mult, "_kl", no_recursion)
+    group = enumerate_group(5)
+    zeros = 0
+    for w in group:
+        assert kl_poly(w, w) == (1,)
+        for x in group:
+            if not boundary_entries_hold(x, w):
+                assert kl_poly(x, w) == ()
+                zeros += 1
+    assert zeros == 10_043
+    assert kl_poly(identity(10), identity(10)) == (1,)
+    assert kl_mult._kl_cache == before
+
+
+class _Watched(tuple):
+    """A permutation that counts the iterations over it.  ``bruhat_leq``
+    iterates over x only in its scan, after the four boundary entries."""
+
+    iterations = 0
+
+    def __iter__(self):
+        _Watched.iterations += 1
+        return super().__iter__()
+
+
+def _rejected_before_scan(x, w):
+    """Whether ``bruhat_leq`` rejects (x, w) on its boundary entries alone."""
+    _Watched.iterations = 0
+    return not bruhat_leq(_Watched(x), w) and not _Watched.iterations
+
+
+def _pairs(n):
+    """Every pair of S5, or every x of S7 against eight fixed w."""
+    group = enumerate_group(n)
+    ws = group if n == 5 else random.Random(7).sample(group, 8)
+    return [(x, w) for w in ws for x in group]
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_kl_poly_boundary_test_matches_bruhat_leq(monkeypatch, n):
+    # kl_poly keeps its own copy of bruhat_leq's four boundary entries.  The
+    # copies must reject the same pairs, so kl_poly's copy never rejects a
+    # pair that bruhat_leq accepts.
+    monkeypatch.setattr(kl_mult, "_kl", lambda x, w: None)
+    for x, w in _pairs(n):
+        assert (kl_poly(x, w) == ()) == _rejected_before_scan(x, w), (x, w)
+
+
+def test_kl_rank_bound():
+    # Above the enumeration bound only the trivial pairs are answered.
+    w = (5, 6, 7, 8, 9, 10, 1, 2, 3, 4)
+    assert kl_poly(w, w) == (1,)
+    assert kl_poly(w, identity(10)) == ()
+    with pytest.raises(BoundExceededError, match="KL rank 10 exceeds enumeration bound 9"):
+        kl_poly(identity(10), w)
 
 
 @pytest.mark.parametrize("w", [(4, 2, 3, 1), (3, 4, 1, 2)], ids=["4231", "3412"])
